@@ -12577,15 +12577,21 @@ def _q_bucketed_join(sf_dir: str):
     """Hive-style bucketed-storage join: customer and events written
     partitioned by key%16, joined BUCKET-LOCALLY (no join-time
     shuffle); per-bucket counts must equal the oracle's global join
-    (ops/relational.bucketed_join_counts)."""
+    (ops/relational.bucketed_join_counts).  The bucketed copies live in
+    a temp dir, so the 16 count rows are materialized before it is
+    removed."""
+    import shutil
     import tempfile
 
     from pdf_extract_ray.ops.relational import bucketed_join_counts
     out_root = tempfile.mkdtemp(prefix="bucketed_join_")
-    return bucketed_join_counts(
-        _read(sf_dir, "customer", columns=["c_custkey"]),
-        _read(sf_dir, "events", columns=["user_id"]),
-        out_root, left_key="c_custkey", right_key="user_id")
+    try:
+        return bucketed_join_counts(
+            _read(sf_dir, "customer", columns=["c_custkey"]),
+            _read(sf_dir, "events", columns=["user_id"]),
+            out_root, left_key="c_custkey", right_key="user_id").materialize()
+    finally:
+        shutil.rmtree(out_root, ignore_errors=True)
 
 
 def _q_dup_cluster_size_hist(sf_dir: str):

@@ -7,13 +7,27 @@ span record per character for the `spans` output column.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import array
+from itertools import accumulate
+from operator import itemgetter
+from typing import List, Sequence, Tuple
 
+from .fonts import Glyph
 from .interpreter import Transform, mul, transform_vector, translation
+
+_glyph_char = itemgetter(1)
 
 
 class OutputDev:
-    """Protocol for event consumers; all hooks default to no-ops."""
+    """Protocol for event consumers; all hooks default to no-ops.
+
+    Text arrives one text string at a time: `show_text` calls
+    `begin_word`, then `output_run` with the string's glyphs (if it has
+    any), then `end_word`.  A device overrides either `output_character`,
+    which the default `output_run` calls once per glyph with the glyph's
+    full text-rendering matrix, or `output_run` itself to handle the
+    whole string in one call.
+    """
 
     def begin_page(self, page_num: int, media_box, art_box) -> None:
         pass
@@ -24,6 +38,20 @@ class OutputDev:
     def output_character(self, trm: Transform, width: float, spacing: float,
                          font_size: float, char: str) -> None:
         pass
+
+    def output_run(self, linear_part: Sequence[float], font_size: float,
+                   e4s: Sequence[float], e5s: Sequence[float],
+                   glyphs: Sequence[Glyph],
+                   spacings: Sequence[float]) -> None:
+        """One text string's glyphs, in order.  Glyph i has the
+        text-rendering matrix `(*linear_part, e4s[i], e5s[i])`, the
+        `(width / 1000, char, is_word_space)` of `glyphs[i]` and the
+        advance spacing `spacings[i]`; the linear part and font size are
+        shared by the whole run."""
+        a, b, c, d = linear_part
+        out = self.output_character
+        for e4, e5, glyph, spacing in zip(e4s, e5s, glyphs, spacings):
+            out((a, b, c, d, e4, e5), glyph[0], spacing, font_size, glyph[1])
 
     def begin_word(self) -> None:
         pass
@@ -53,8 +81,10 @@ class PlainTextOutput(OutputDev):
       newline if x < last_end and |y - last_y| > 0.5 * tfs  (left+down)
       space   if x > last_end + 0.1 * tfs
     where tfs = sqrt(tx*ty) of the trm-transformed (fs, fs) vector.
-    Line breaks come ONLY from these y-delta rules; end_line is a no-op
-    (src/lib.rs:2196-2199).
+    The rules apply only to a word's first glyph, and tfs depends only
+    on the linear part of trm and the font size, so both are worked out
+    once per run.  Line breaks come ONLY from these y-delta rules;
+    end_line is a no-op (src/lib.rs:2196-2199).
     """
 
     def __init__(self):
@@ -63,16 +93,6 @@ class PlainTextOutput(OutputDev):
         self.last_y = 0.0
         self.first_char = False
         self.flip_ctm: Transform = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        # memo for transform_vector+sqrt: the linear part of trm and the
-        # font size are constant within a Tj run, so all but the first
-        # glyph of a word hit the cache (identical inputs -> identical
-        # output; byte parity unaffected)
-        self._tfs_key = None
-        self._tfs = 0.0
-        # skip the per-char subclass hook call when it's the base no-op
-        # (58k calls/1.5k docs of pure call overhead otherwise)
-        self._has_char_hook = type(self)._on_char \
-            is not PlainTextOutput._on_char
 
     def get_text(self) -> str:
         return "".join(self.parts)
@@ -84,36 +104,40 @@ class PlainTextOutput(OutputDev):
     def begin_word(self) -> None:
         self.first_char = True
 
-    def output_character(self, trm, width, _spacing, font_size, char) -> None:
-        key = (trm[0], trm[1], trm[2], trm[3], font_size)
-        if key == self._tfs_key:
-            transformed_font_size = self._tfs
-        else:
-            tvx, tvy = transform_vector(trm, font_size, font_size)
-            transformed_font_size = _sqrt_or_nan(tvx * tvy)
-            self._tfs_key = key
-            self._tfs = transformed_font_size
-        # translation row of mul(trm, flip_ctm), inlined (only 4,5 used)
-        flip = self.flip_ctm
-        x = trm[4] * flip[0] + trm[5] * flip[2] + flip[4]
-        y = trm[4] * flip[1] + trm[5] * flip[3] + flip[5]
-        if self.first_char:
-            if abs(y - self.last_y) > transformed_font_size * 1.5:
-                self.parts.append("\n")
-            # we've moved to the left and down
-            if x < self.last_end and abs(y - self.last_y) > transformed_font_size * 0.5:
-                self.parts.append("\n")
-            if x > self.last_end + transformed_font_size * 0.1:
-                self.parts.append(" ")
-        self.parts.append(char)
-        self.first_char = False
-        self.last_y = y
-        self.last_end = x + width * transformed_font_size
-        if self._has_char_hook:  # subclass hook (spans)
-            self._on_char(x, y, width, transformed_font_size, char)
+    def output_character(self, trm, width, spacing, font_size, char) -> None:
+        self.output_run(trm[:4], font_size, (trm[4],), (trm[5],),
+                        ((width, char, False),), (spacing,))
 
-    def _on_char(self, x, y, width, tfs, char) -> None:
-        pass
+    def output_run(self, linear_part, font_size, e4s, e5s, glyphs,
+                   spacings) -> None:
+        _tfs, sep = self._place_run(linear_part, font_size, e4s, e5s, glyphs)
+        self.parts.append(sep + "".join(map(_glyph_char, glyphs)))
+
+    def _place_run(self, linear_part, font_size, e4s, e5s,
+                   glyphs) -> Tuple[float, str]:
+        """-> (tfs, separator to put before the run), and move the
+        line/word state past the run's last glyph."""
+        tvx, tvy = transform_vector(linear_part, font_size, font_size)
+        tfs = _sqrt_or_nan(tvx * tvy)
+        # translation row of mul(trm, flip_ctm), inlined (only 4,5 used)
+        f0, f1, f2, f3, f4, f5 = self.flip_ctm
+        sep = ""
+        if self.first_char:
+            e4, e5 = e4s[0], e5s[0]
+            x = e4 * f0 + e5 * f2 + f4
+            dy = abs(e4 * f1 + e5 * f3 + f5 - self.last_y)
+            if dy > tfs * 1.5:
+                sep = "\n"
+            # we've moved to the left and down
+            if x < self.last_end and dy > tfs * 0.5:
+                sep += "\n"
+            if x > self.last_end + tfs * 0.1:
+                sep += " "
+            self.first_char = False
+        e4, e5 = e4s[-1], e5s[-1]
+        self.last_y = e4 * f1 + e5 * f3 + f5
+        self.last_end = e4 * f0 + e5 * f2 + f4 + glyphs[-1][0] * tfs
+        return tfs, sep
 
 
 class SpanTextOutput(PlainTextOutput):
@@ -128,7 +152,6 @@ class SpanTextOutput(PlainTextOutput):
 
     def __init__(self):
         super().__init__()
-        import array
         self._pages = array.array("i")
         self._starts = array.array("i")
         self._ends = array.array("i")
@@ -152,45 +175,24 @@ class SpanTextOutput(PlainTextOutput):
         super().begin_page(page_num, media_box, art_box)
         self._page = page_num
 
-    def output_character(self, trm, width, _spacing, font_size, char) -> None:
-        # PlainTextOutput's logic flattened inline (hot path: one virtual
-        # call per glyph instead of two) + span bookkeeping.  MUST stay
-        # byte-identical to PlainTextOutput.output_character; the parity
-        # test test_spans_text_identical guards this.
-        flip = self.flip_ctm
-        x = trm[4] * flip[0] + trm[5] * flip[2] + flip[4]
-        y = trm[4] * flip[1] + trm[5] * flip[3] + flip[5]
-        key = (trm[0], trm[1], trm[2], trm[3], font_size)
-        if key == self._tfs_key:
-            transformed_font_size = self._tfs
-        else:
-            tvx, tvy = transform_vector(trm, font_size, font_size)
-            transformed_font_size = _sqrt_or_nan(tvx * tvy)
-            self._tfs_key = key
-            self._tfs = transformed_font_size
-        n = self._len
-        if self.first_char:
-            if abs(y - self.last_y) > transformed_font_size * 1.5:
-                self.parts.append("\n")
-                n += 1
-            if x < self.last_end and abs(y - self.last_y) > transformed_font_size * 0.5:
-                self.parts.append("\n")
-                n += 1
-            if x > self.last_end + transformed_font_size * 0.1:
-                self.parts.append(" ")
-                n += 1
-        self.parts.append(char)
-        self.first_char = False
-        self.last_y = y
-        self.last_end = x + width * transformed_font_size
-        self._starts.append(n)
-        n += len(char)
-        self._ends.append(n)
-        self._len = n
-        self._pages.append(self._page)
-        self._xs.append(x)
-        self._ys.append(y)
-        self._fss.append(transformed_font_size)
+    def output_run(self, linear_part, font_size, e4s, e5s, glyphs,
+                   spacings) -> None:
+        tfs, sep = self._place_run(linear_part, font_size, e4s, e5s, glyphs)
+        chars = list(map(_glyph_char, glyphs))
+        self.parts.append(sep + "".join(chars))
+        # each glyph's span covers its own (possibly empty or multi-char)
+        # decoded string
+        offsets = array.array("i", accumulate(map(len, chars),
+                                              initial=self._len + len(sep)))
+        self._len = offsets[-1]
+        self._starts += offsets[:-1]
+        self._ends += offsets[1:]
+        f0, f1, f2, f3, f4, f5 = self.flip_ctm
+        self._xs.extend([e4 * f0 + e5 * f2 + f4 for e4, e5 in zip(e4s, e5s)])
+        self._ys.extend([e4 * f1 + e5 * f3 + f5 for e4, e5 in zip(e4s, e5s)])
+        n = len(chars)
+        self._pages += array.array("i", (self._page,)) * n
+        self._fss += array.array("d", (tfs,)) * n
 
 
 class PageTextOutput(PlainTextOutput):

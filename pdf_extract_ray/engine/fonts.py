@@ -10,8 +10,7 @@ Faithful re-derivation of the reference's font layer
 - non-core fonts without Widths end up with an EMPTY width map (the
   Helvetica "substitution" compares against base_name, src/lib.rs:586-608)
 - CID decode_char: unknown glyph -> empty string (src/lib.rs:1081-1089)
-- word spacing applies only to single-byte code 32 (handled in the
-  interpreter)
+- word spacing applies only to single-byte code 32 (`PdfFont.glyphs`)
 - ToUnicode lone-surrogate single-unit entries are skipped
   (src/lib.rs:942-948)
 """
@@ -34,6 +33,9 @@ from .objects import (Name, PdfError, PdfString, Stream, get_int, get_num,
 from .type1 import parse_type1_encoding
 
 log = logging.getLogger(__name__)
+
+# (width / 1000, decoded char, is_word_space): one shown glyph
+Glyph = Tuple[float, str, bool]
 
 CORE_FONT_NAMES = frozenset([
     "Courier-Bold", "Courier-BoldOblique", "Courier-Oblique", "Courier",
@@ -169,6 +171,18 @@ class PdfFont:
             code, length, pos = nxt
             yield code, length
 
+    def glyphs(self, data: bytes) -> List[Glyph]:
+        """-> one `(width / 1000, char, is_word_space)` per glyph of a text
+        string.  The width is looked up before the char, glyph by glyph in
+        string order, so the first failing glyph names the error.  Word
+        spacing applies only to single-byte code 32 (src/lib.rs:1307-1312).
+        """
+        get_width = self.get_width
+        decode_char = self.decode_char
+        return [(get_width(code) / 1000.0, decode_char(code),
+                 code == 32 and length == 1)
+                for code, length in self.char_codes(data)]
+
     def decode(self, data: bytes) -> str:
         return "".join(self.decode_char(c) for c, _l in self.char_codes(data))
 
@@ -179,22 +193,16 @@ class _Simple256Font(PdfFont):
     encoding: Optional[List[int]]
     unicode_map: Optional[Dict[int, str]]
     widths: Dict[int, float]
+    _glyph_table: Optional[Dict[int, Glyph]] = None
 
     def next_char(self, data, pos):
         return (data[pos], 1, pos + 1)
 
     def decode_char(self, code: int) -> str:
         # (src/lib.rs:826-848): unicode-map hit, else encoding (required if
-        # a unicode map exists), else encoding-or-PDFDocEncoding.
-        # Per-font memo: codes are 0..255 so the cache is bounded; the
+        # a unicode map exists), else encoding-or-PDFDocEncoding.  The
         # single-byte to_utf8 is inlined as chr(table[code]) (a one-byte
         # input can never carry the len>2 UTF-16BE BOM branch).
-        cache = self.__dict__.get("_decode_cache")
-        if cache is None:
-            cache = self.__dict__["_decode_cache"] = {}
-        s = cache.get(code)
-        if s is not None:
-            return s
         um = self.unicode_map
         if um is not None:
             s = um.get(code)
@@ -202,12 +210,26 @@ class _Simple256Font(PdfFont):
                 if self.encoding is None:
                     raise PdfError("missing unicode map and encoding")
                 s = chr(self.encoding[code & 0xFF])
-        else:
-            enc = self.encoding if self.encoding is not None \
-                else PDFDOC_ENCODING
-            s = chr(enc[code & 0xFF])
-        cache[code] = s
-        return s
+            return s
+        enc = self.encoding if self.encoding is not None else PDFDOC_ENCODING
+        return chr(enc[code & 0xFF])
+
+    def glyphs(self, data: bytes) -> List[Glyph]:
+        # Per-font table of the 256 codes, filled on first use of each
+        # code (filling codes a document never shows would raise errors it
+        # never hits, e.g. a Type3 code outside FirstChar..LastChar).
+        table = self._glyph_table
+        if table is None:
+            table = self._glyph_table = {}
+        try:
+            return list(map(table.__getitem__, data))
+        except KeyError:
+            pass
+        for code in data:
+            if code not in table:
+                table[code] = (self.get_width(code) / 1000.0,
+                               self.decode_char(code), code == 32)
+        return list(map(table.__getitem__, data))
 
 
 class PdfSimpleFont(_Simple256Font):

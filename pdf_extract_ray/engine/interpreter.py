@@ -97,23 +97,23 @@ class GraphicsState:
 
 
 def show_text(gs: GraphicsState, s: bytes, output) -> None:
-    """Per-glyph event emission + tm advance (src/lib.rs:1276-1327).
+    """Position one text string's glyphs and advance tm
+    (src/lib.rs:1276-1327); the device gets them as one `output_run`.
 
-    The generic products are specialized inline (tsm has the fixed shape
-    (h,0,0,1,0,rise), the advance is a pure translation): same float ops
-    in the same order as `mul`, minus the zero terms — a zero product
-    term only ever changes the sign of a zero, which no downstream
-    comparison can observe.
+    The font decodes the whole string first (`PdfFont.glyphs`), then this
+    loop only does float arithmetic.  The generic products are specialized
+    inline (tsm has the fixed shape (h,0,0,1,0,rise), the advance is a
+    pure translation): same float ops in the same order as `mul`, minus
+    the zero terms — a zero product term only ever changes the sign of a
+    zero, which no downstream comparison can observe.
     """
     ts = gs.ts
     font = ts.font
     if font is None:
         raise PdfError("show text with no font set")
     output.begin_word()
+    glyphs = font.glyphs(s)
     c0, c1, c2, c3, c4, c5 = gs.ctm
-    get_width = font.get_width
-    decode_char = font.decode_char
-    out_char = output.output_character
     # loop invariants: inside one Tj only the tm TRANSLATION row (t4,t5)
     # changes, and no operator can touch the text state mid-string — so
     # the linear part of m = tm * ctm, the tsm scale factors, spacings
@@ -127,23 +127,24 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
     m1 = t0 * c1 + t1 * c3
     m2 = t2 * c0 + t3 * c2
     m3 = t2 * c1 + t3 * c3
-    hm0 = h * m0
-    hm1 = h * m1
     r4 = rise * m2
     r5 = rise * m3
     char_spacing = ts.character_spacing
     word_extra = char_spacing + ts.word_spacing
     font_size = ts.font_size
-    for code, length in font.char_codes(s):
-        m4 = t4 * c0 + t5 * c2 + c4
-        m5 = t4 * c1 + t5 * c3 + c5
-        # trm = tsm * (tm * ctm) with tsm = (h, 0, 0, 1, 0, rise)
-        trm = (hm0, hm1, m2, m3, r4 + m4, r5 + m5)
-        w0 = get_width(code) / 1000.0
-        # word spacing only for single-byte code 32 (src/lib.rs:1307-1312)
-        spacing = word_extra if (code == 32 and length == 1) \
-            else char_spacing
-        out_char(trm, w0, spacing, font_size, decode_char(code))
+    # trm = tsm * (tm * ctm) with tsm = (h, 0, 0, 1, 0, rise): its linear
+    # part is constant, its translation row is (e4, e5) per glyph
+    e4s: List[float] = []
+    e5s: List[float] = []
+    spacings: List[float] = []
+    add_e4 = e4s.append
+    add_e5 = e5s.append
+    add_spacing = spacings.append
+    for w0, _char, word_space in glyphs:
+        add_e4(r4 + (t4 * c0 + t5 * c2 + c4))
+        add_e5(r5 + (t4 * c1 + t5 * c3 + c5))
+        spacing = word_extra if word_space else char_spacing
+        add_spacing(spacing)
         # (w0 - 0.0/1000.0) == w0 bit-exactly for every float (incl.
         # -0.0 and NaN), so the reference's ws.0 term drops out
         tx = h * (w0 * font_size + spacing)
@@ -151,6 +152,9 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
         t4 = tx * t0 + t4
         t5 = tx * t1 + t5
     ts.tm = (t0, t1, t2, t3, t4, t5)
+    if glyphs:
+        output.output_run((h * m0, h * m1, m2, m3), font_size, e4s, e5s,
+                          glyphs, spacings)
     output.end_word()
 
 

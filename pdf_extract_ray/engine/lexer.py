@@ -16,6 +16,7 @@ from .objects import NULL, Name, PdfError, PdfString, Ref, Stream, f32
 # dominate parse time when done byte-by-byte in Python)
 _WS_RUN = re.compile(rb"(?:[\x00\t\n\x0c\r ]+|%[^\r\n]*)+")
 _REG_RUN = re.compile(rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
+_LIT_SPECIAL = re.compile(rb"[()\\]")
 
 WHITESPACE = b"\x00\t\n\x0c\r "
 DELIMS = b"()<>[]{}/%"
@@ -156,10 +157,19 @@ class Lexer:
         pos = self.pos + 1  # skip '('
         out = bytearray()
         depth = 1
-        while pos < end:
-            c = buf[pos]
+        while True:
+            # the bytes up to the next paren or backslash copy as they are
+            m = _LIT_SPECIAL.search(buf, pos, end)
+            if m is None:
+                break
+            i = m.start()
+            c = buf[i]
+            if c == 0x29 and depth == 1:
+                self.pos = i + 1
+                return PdfString(out + buf[pos:i] if out else buf[pos:i])
+            out += buf[pos:i]
+            pos = i + 1
             if c == 0x5C:  # backslash
-                pos += 1
                 if pos >= end:
                     break
                 e = buf[pos]
@@ -189,21 +199,9 @@ class Lexer:
                 else:  # \( \) \\ and any other char -> itself
                     out.append(e)
                 pos += 1
-            elif c == 0x28:
-                depth += 1
+            else:  # a nested paren is kept
+                depth += 1 if c == 0x28 else -1
                 out.append(c)
-                pos += 1
-            elif c == 0x29:
-                depth -= 1
-                if depth == 0:
-                    pos += 1
-                    self.pos = pos
-                    return PdfString(bytes(out))
-                out.append(c)
-                pos += 1
-            else:
-                out.append(c)
-                pos += 1
         raise PdfError("unterminated literal string")
 
     def _parse_hex_string(self) -> PdfString:

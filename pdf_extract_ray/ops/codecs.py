@@ -361,14 +361,15 @@ def encode_wav(samples: np.ndarray, rate: int = 16000) -> bytes:
     return buf.getvalue()
 
 
-# -- JPEG (ITU-T T.81 baseline sequential) ----------------------------------
+# -- JPEG (ITU-T T.81 baseline sequential and progressive) ------------------
 #
-# Pure-numpy baseline JPEG codec (VERDICT r3 item 3): huffman-coded
-# sequential DCT with 8-bit samples — the format that dominates crawl
-# images.  Supported: SOF0/SOF1 frames, interleaved single scan (or
-# single-component scans), arbitrary h/v sampling factors (4:4:4,
-# 4:2:0, 4:2:2, grayscale), restart intervals, 8/16-bit quant tables.
-# Progressive (SOF2) and arithmetic coding raise ValueError and fall
+# Pure-numpy JPEG codec (VERDICT r3 item 3): huffman-coded DCT with
+# 8-bit samples — the format that dominates crawl images.  Supported:
+# SOF0/SOF1 sequential and SOF2 progressive frames (spectral selection
+# and successive approximation), interleaved or single-component scans,
+# arbitrary h/v sampling factors (4:4:4, 4:2:0, 4:2:2, grayscale),
+# restart intervals, 8/16-bit quant tables.  Lossless, hierarchical and
+# arithmetic-coded frames and 12-bit samples raise ValueError and fall
 # back to the declared fake in ops/multimodal.py.
 
 JPEG_MAGIC = b"\xff\xd8\xff"

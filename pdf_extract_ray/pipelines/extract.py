@@ -29,17 +29,21 @@ import os
 import time
 from typing import Dict, List, Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-SPAN_TYPE = pa.list_(pa.struct([
-    pa.field("page", pa.int32()),
-    pa.field("start", pa.int32()),
-    pa.field("end", pa.int32()),
-    pa.field("x", pa.float64()),
-    pa.field("y", pa.float64()),
-    pa.field("font_size", pa.float64()),
-]))
+# (name, Arrow type, dtype of the engine's flat span buffer)
+_SPAN_FIELDS = [
+    ("page", pa.int32(), np.int32),
+    ("start", pa.int32(), np.int32),
+    ("end", pa.int32(), np.int32),
+    ("x", pa.float64(), np.float64),
+    ("y", pa.float64(), np.float64),
+    ("font_size", pa.float64(), np.float64),
+]
+SPAN_TYPE = pa.list_(pa.struct(
+    [pa.field(name, typ) for name, typ, _dtype in _SPAN_FIELDS]))
 
 RESULT_SCHEMA = pa.schema([
     pa.field("url", pa.string()),
@@ -55,44 +59,21 @@ RESULT_SCHEMA = pa.schema([
 
 def _build_spans_array(span_cols) -> pa.Array:
     """Rows of flat span buffers -> Arrow list<struct> with no Python-object
-    inference: concatenate the per-row columns, compute offsets, and wrap a
-    StructArray in a ListArray.  None rows become null lists."""
+    inference: each column is the rows' buffers joined and viewed with
+    `np.frombuffer`, wrapped in a StructArray inside a ListArray.  None
+    rows become null lists."""
+    rows = [sc for sc in span_cols if sc is not None]
+    offsets = np.zeros(len(span_cols) + 1, np.int32)
+    np.cumsum([len(sc[0]) if sc is not None else 0 for sc in span_cols],
+              out=offsets[1:])
     # pyarrow convention: a null at offsets[i] makes list element i null
-    fixed = [0]
-    mask = [False] * len(span_cols)
-    run = 0
-    for i, sc in enumerate(span_cols):
-        if sc is None:
-            mask[i] = True
-            fixed.append(run)
-        else:
-            run += len(sc[0])
-            fixed.append(run)
-    import array as _arr
-    pages = _arr.array("i")
-    starts = _arr.array("i")
-    ends = _arr.array("i")
-    xs = _arr.array("d")
-    ys = _arr.array("d")
-    fss = _arr.array("d")
-    for sc in span_cols:
-        if sc is not None:
-            p, s, e, x, y, f = sc
-            pages.extend(p)
-            starts.extend(s)
-            ends.extend(e)
-            xs.extend(x)
-            ys.extend(y)
-            fss.extend(f)
+    null = np.array([sc is None for sc in span_cols] + [False])
     struct = pa.StructArray.from_arrays(
-        [pa.array(pages, pa.int32()), pa.array(starts, pa.int32()),
-         pa.array(ends, pa.int32()), pa.array(xs, pa.float64()),
-         pa.array(ys, pa.float64()), pa.array(fss, pa.float64())],
-        names=["page", "start", "end", "x", "y", "font_size"])
-    offsets_arr = pa.array(
-        [None if (i < len(mask) and mask[i]) else fixed[i]
-         for i in range(len(fixed))], pa.int32())
-    return pa.ListArray.from_arrays(offsets_arr, struct)
+        [pa.array(np.frombuffer(b"".join([sc[j] for sc in rows]), dtype),
+                  typ)
+         for j, (_name, typ, dtype) in enumerate(_SPAN_FIELDS)],
+        names=[name for name, _typ, _dtype in _SPAN_FIELDS])
+    return pa.ListArray.from_arrays(pa.array(offsets, mask=null), struct)
 
 
 class ExtractBatch:

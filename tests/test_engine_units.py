@@ -9,8 +9,8 @@ from pdf_extract_ray.engine.devices import PlainTextOutput
 from pdf_extract_ray.engine.interpreter import (IDENTITY, mul, translation,
                                                 transform_vector)
 from pdf_extract_ray.engine.lexer import Lexer
-from pdf_extract_ray.engine.objects import (Name, PdfString, Ref, f32,
-                                            pdf_to_utf8, to_utf8)
+from pdf_extract_ray.engine.objects import (Name, PdfError, PdfString, Ref,
+                                            f32, pdf_to_utf8, to_utf8)
 from pdf_extract_ray.tables.encodings import (MAC_ROMAN_ENCODING,
                                               WIN_ANSI_ENCODING)
 from pdf_extract_ray.tables.glyphnames import GLYPH_NAME_TO_UNICODE
@@ -60,6 +60,13 @@ class TestLexer:
         assert self.parse(rb"(esc \n\t\\\(\))") == b"esc \n\t\\()"
         assert self.parse(rb"(octal \101\12\1)") == b"octal A\n\x01"
         assert self.parse(b"(line\\\ncont)") == b"linecont"
+        assert self.parse(b"(line\\\r\ncont)") == b"linecont"
+        assert self.parse(b"(raw\rcr)") == b"raw\rcr"  # no EOL normalizing
+        assert self.parse(rb"(ends in octal \101)") == b"ends in octal A"
+        assert self.parse(rb"(\7)") == b"\x07"
+        for unterminated in (b"(never closed", rb"(nested (one)", b"(escape\\"):
+            with pytest.raises(PdfError):
+                self.parse(unterminated)
 
     def test_hex_strings(self):
         assert self.parse(b"<48656C6C6F>") == b"Hello"

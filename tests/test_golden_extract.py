@@ -10,10 +10,12 @@ last_y starts at 0 and last_end at 100000, reference src/lib.rs:2139-2148,
 import pytest
 
 from pdf_extract_ray.data import pdfgen
-from pdf_extract_ray.engine import (PdfError, extract_text_from_mem,
+from pdf_extract_ray.engine import (OutputDev, PdfError, extract_text_from_mem,
                                     extract_text_from_mem_by_pages,
                                     extract_text_from_mem_encrypted,
-                                    get_metadata)
+                                    get_metadata, load_document, output_doc)
+from pdf_extract_ray.engine.api import maybe_decrypt
+from pdf_extract_ray.engine.interpreter import mul, transform_vector
 
 GOLDEN = {
     "pdf_simple_helvetica": "\n\nHello World",
@@ -202,18 +204,89 @@ def test_aes128_with_identity_string_filter():
     assert extract_text_from_mem(pdf) == "\n\nsplit filters"
 
 
+class _GlyphRecorder(OutputDev):
+    """Implements only `output_character`, so `show_text` reaches it
+    through OutputDev's default per-glyph `output_run`.  Records each
+    glyph's (page, x, y, transformed font size, char) with the same
+    formulas the span device documents."""
+
+    def __init__(self):
+        self.glyphs = []
+        self.page = 0
+        self.flip = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+    def begin_page(self, page_num, media_box, art_box):
+        self.page = page_num
+        self.flip = (1.0, 0.0, 0.0, -1.0, 0.0, media_box[3] - media_box[1])
+
+    def output_character(self, trm, width, spacing, font_size, char):
+        position = mul(trm, self.flip)
+        tvx, tvy = transform_vector(trm, font_size, font_size)
+        area = tvx * tvy
+        tfs = area ** 0.5 if area >= 0.0 else float("nan")
+        self.glyphs.append((self.page, position[4], position[5], tfs, char))
+
+
+def _recorded_glyphs(pdf: bytes):
+    doc = load_document(pdf)
+    maybe_decrypt(doc)
+    rec = _GlyphRecorder()
+    output_doc(doc, rec)
+    return rec.glyphs
+
+
 def test_spans_text_identical():
-    """SpanTextOutput's flattened hot path must produce byte-identical
-    text to PlainTextOutput for every fixture class."""
+    """SpanTextOutput's text is byte-identical to PlainTextOutput's for
+    every fixture class; its span slices, in order, are exactly the
+    decoded glyphs, and every character no span covers is an inserted
+    separator."""
     from pdf_extract_ray.engine.api import extract_text_and_spans_from_mem
     for name, gen in pdfgen.PDF_GENERATORS.items():
         pdf = gen()
         text, spans = extract_text_and_spans_from_mem(pdf)
         assert text == extract_text_from_mem(pdf), name
-        if spans:
-            for (page, start, end, x, y, fs) in spans:
-                assert text[start:end] == text[start:end]  # offsets in range
-                assert 0 <= start <= end <= len(text), name
+        assert [text[start:end] for (_p, start, end, _x, _y, _fs) in spans] \
+            == [g[-1] for g in _recorded_glyphs(pdf)], name
+        covered = 0
+        for (_p, start, end, _x, _y, _fs) in spans:
+            assert covered <= start <= end, name
+            assert set(text[covered:start]) <= {"\n", " "}, name
+            covered = end
+        assert set(text[covered:]) <= {"\n", " "}, name
+
+
+def test_default_output_run_matches_span_columns():
+    """A device with only `output_character` sees, glyph by glyph, the
+    same (page, x, y, font size, char) as SpanTextOutput's columns."""
+    from pdf_extract_ray.engine.api import extract_text_and_spans_from_mem
+    for name, gen in pdfgen.PDF_GENERATORS.items():
+        pdf = gen()
+        text, spans = extract_text_and_spans_from_mem(pdf)
+        want = [(page, x, y, fs, text[start:end])
+                for (page, start, end, x, y, fs) in spans]
+        # repr: NaN font sizes compare equal, -0.0 and 0.0 do not
+        assert repr(_recorded_glyphs(pdf)) == repr(want), name
+
+
+def test_glyph_decode_error_strings():
+    """The UDF's `error` column for glyphs that cannot be decoded: the
+    first failing glyph in string order names the error."""
+    import pyarrow as pa
+
+    from pdf_extract_ray.pipelines.extract import ExtractBatch
+    # 'z' (122) and 'y' (121) are both outside FirstChar..LastChar 97..99
+    type3 = pdfgen.pdf_type3("azy")
+    # a non-core font with ToUnicode and no Encoding: 'Z' has no mapping
+    no_encoding = pdfgen.pdf_tounicode_bfchar("AZ").replace(
+        b"/BaseFont /Helvetica", b"/BaseFont /CustomSans")
+    batch = pa.table({"url": ["type3", "no_encoding"],
+                      "html": pa.array([type3, no_encoding], pa.binary())})
+    out = ExtractBatch(with_spans=True)(batch).to_pydict()
+    assert out["status"] == ["error", "error"]
+    assert out["error"] == ["PdfError: missing Type3 width for 122",
+                            "PdfError: missing unicode map and encoding"]
+    assert out["extracted_text"] == ["", ""]
+    assert out["spans"] == [None, None]
 
 
 def test_textstate_ops_golden():

@@ -602,6 +602,34 @@ class TestBucketedJoin:
             assert r["n_left"] == ((left["k"] % 8)
                                    == r["bucket"]).sum()
 
+    def test_query_removes_its_temp_dir(self, tmp_path):
+        """The `bucketed_join` query writes its bucketed copies to a temp
+        dir and must delete it, without changing its rows."""
+        import glob
+        import importlib.util
+
+        import pyarrow.parquet as pq
+        spec = importlib.util.spec_from_file_location(
+            "entry_mod_bucketed", os.path.join(os.path.dirname(
+                os.path.dirname(os.path.abspath(__file__))),
+                "__ray_entry__.py"))
+        m = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(m)
+        rng = np.random.RandomState(3)
+        users = rng.randint(0, 60, 200).astype(np.int64)
+        pq.write_table(pa.table({"c_custkey": np.arange(40, dtype=np.int64)}),
+                       str(tmp_path / "customer.parquet"))
+        pq.write_table(pa.table({"user_id": users}),
+                       str(tmp_path / "events.parquet"))
+        pattern = os.path.join(tempfile.gettempdir(), "bucketed_join_*")
+        before = set(glob.glob(pattern))
+        out = m._q_bucketed_join(str(tmp_path)).to_pandas()
+        assert set(glob.glob(pattern)) <= before
+        assert sorted(out["bucket"]) == list(range(16))
+        assert out["n_left"].sum() == 40
+        assert out["n_right"].sum() == 200
+        assert out["n_joined"].sum() == int((users < 40).sum())
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestBloomAntiAudit:
