@@ -20210,7 +20210,10 @@ def oracle_sql() -> dict[str, str]:
         "knn_label_eval": """
             WITH e AS (SELECT COALESCE(vec_id, -1) AS vec_id,
                               COALESCE(label, -1) AS label,
-                              list_transform(embedding,
+                              list_transform(
+                                  COALESCE(embedding,
+                                      list_transform(range(64),
+                                                     d -> 0.0)),
                                   x -> FLOOR(CAST(x AS DOUBLE)
                                              * 1000)) AS q
                        FROM embeddings),

@@ -23,8 +23,6 @@ def main(argv=None) -> int:
                     default="extract")
     ap.add_argument("--num-partitions", type=int, default=None)
     ap.add_argument("--batch-size", type=int, default=64)
-    ap.add_argument("--size-buckets", action="store_true",
-                    help="route giant payloads into tiny batches")
     ap.add_argument("--no-spans", action="store_true")
     ap.add_argument("--min-quality", type=float, default=None,
                     help="textprep only: drop rows below this quality score")
@@ -57,8 +55,7 @@ def main(argv=None) -> int:
     job = run_extract(args.input, args.output,
                       num_partitions=args.num_partitions,
                       batch_size=args.batch_size,
-                      with_spans=not args.no_spans,
-                      size_buckets=args.size_buckets)
+                      with_spans=not args.no_spans)
     print(json.dumps({"pipeline": "extract", **job}))
     return 0
 

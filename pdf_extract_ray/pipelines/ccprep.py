@@ -171,42 +171,27 @@ def run_ccprep(input_dir: str, output_dir: str, *,
     """Checkpointed run: phase 1 = per-partition extraction manifests
     (resume skips finished partitions), phase 2 = the filter/dedup chain
     from the checkpoint with an atomic completion marker."""
-    import glob
-    import json
     import os
-    import shutil
+    import time as _time
 
-    import ray
-
-    from .extract import run_extract
+    from .extract import _commit, _committed, _rewrite_parquet, run_extract
+    from .textprep import _read_extracted_ok
 
     extract_dir = os.path.join(output_dir, "extracted")
     final_dir = os.path.join(output_dir, "ccprep")
     marker = os.path.join(output_dir, "manifest", "ccprep.json")
-    os.makedirs(os.path.dirname(marker), exist_ok=True)
+    done = _committed(marker, resume)
+    if done is not None:
+        return done
 
-    if resume and os.path.exists(marker):
-        with open(marker) as f:
-            return json.load(f)
-
-    import time as _time
     phases: dict = {}
     t0 = _time.perf_counter()
-    # sequential partitions: concurrent dataset executions CONTEND in
-    # local mode (measured 85s vs 62s at sf0.1 with 4 threads) — on a
-    # real multi-node cluster raise max_concurrent_partitions instead
     job = run_extract(input_dir, extract_dir, with_spans=False,
                       resume=resume)
     phases["extract"] = round(_time.perf_counter() - t0, 3)
 
     t0 = _time.perf_counter()
-    part_files = sorted(glob.glob(
-        os.path.join(extract_dir, "part=*", "*.parquet")))
-    keep_cols = ["url", "extracted_text", "status", "kind",
-                 "payload_bytes", "n_chars"]
-    ok = ray.data.read_parquet(part_files).map_batches(
-        lambda b: b.filter(pc.equal(b.column("status"), "ok"))
-        .select(keep_cols), batch_format="pyarrow").materialize()
+    ok = _read_extracted_ok(extract_dir).materialize()
     phases["read_checkpoint"] = round(_time.perf_counter() - t0, 3)
 
     result = _post_extract_chain(ok, langs=langs, min_quality=min_quality,
@@ -214,15 +199,7 @@ def run_ccprep(input_dir: str, output_dir: str, *,
                                  num_partitions=num_partitions,
                                  timings=phases)
     t0 = _time.perf_counter()
-    if os.path.isdir(final_dir):
-        shutil.rmtree(final_dir)
-    result.write_parquet(final_dir)
-    n_out = ray.data.read_parquet(final_dir).count()
+    n_out = _rewrite_parquet(result, final_dir)
     phases["apply_write"] = round(_time.perf_counter() - t0, 3)
-    metrics = {"extract": job, "rows_out": n_out, "output": final_dir,
-               "phases": phases}
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(metrics, f, indent=1)
-    os.replace(tmp, marker)
-    return metrics
+    return _commit(marker, {"extract": job, "rows_out": n_out,
+                            "output": final_dir, "phases": phases})

@@ -152,29 +152,20 @@ def run_crawlprep(input_dir: str, output_dir: str, *,
 
     Returns {"urlprep": {...}, "extract": {...}}.
     """
-    import glob
-    import json
     import os
-    import shutil
     import time
 
-    import ray
-
-    from .extract import run_extract
+    from .extract import (_commit, _committed, _input_files,
+                          _rewrite_parquet, read_pages, run_extract)
 
     surv_dir = os.path.join(output_dir, "survivors")
     marker = os.path.join(output_dir, "manifest", "urlprep.json")
-    os.makedirs(os.path.dirname(marker), exist_ok=True)
-
-    if resume and os.path.exists(marker):
-        with open(marker) as f:
-            phase1 = json.load(f)
-    else:
+    phase1 = _committed(marker, resume)
+    if phase1 is None:
         from ..ops.dedup import drop_rows_by_id
 
         t0 = time.perf_counter()
-        files = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
-        pages = ray.data.read_parquet(files, columns=["url", "html"])
+        pages = read_pages(_input_files(input_dir))
         n_in = pages.count()
         allowed = _allowed(pages, rules)
         dropped = _dropped_urls(allowed, num_partitions)
@@ -183,18 +174,11 @@ def run_crawlprep(input_dir: str, output_dir: str, *,
             num_partitions=num_partitions).map_batches(
                 lambda df: df.drop(columns=["norm_url"]),
                 batch_format="pandas")
-        if os.path.isdir(surv_dir):
-            shutil.rmtree(surv_dir)  # phase-1 output rebuilt atomically
-        survivors.write_parquet(surv_dir)
-        n_out = ray.data.read_parquet(surv_dir).count()
-        phase1 = {"rows_in": n_in, "survivors": n_out,
-                  "dropped": n_in - n_out,
-                  "wall_s": round(time.perf_counter() - t0, 3),
-                  "output": surv_dir}
-        tmp = marker + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(phase1, f, indent=1)
-        os.replace(tmp, marker)
+        n_out = _rewrite_parquet(survivors, surv_dir)
+        phase1 = _commit(marker, {
+            "rows_in": n_in, "survivors": n_out, "dropped": n_in - n_out,
+            "wall_s": round(time.perf_counter() - t0, 3),
+            "output": surv_dir})
 
     job = run_extract(surv_dir, os.path.join(output_dir, "extracted"),
                       with_spans=False, resume=resume,

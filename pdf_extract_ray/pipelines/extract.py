@@ -8,30 +8,32 @@ Design notes (scale):
 - Column pruning at the read: only `url` and `html` leave storage.
 - The extraction stage runs as task-compute map_batches on Ray's warm,
   reused worker processes (static tables + font/CMap caches are
-  per-process module state; no per-execution actor spin-up); an explicit
-  actor-pool mode exists for heavier per-actor state.  The per-row cost is
-  wildly variable (a 40-page PDF vs a 2 KB HTML page): the streaming
-  executor load-balances batches across workers, which absorbs moderate
-  skew without a keyed shuffle, and `extract_dataset_bucketed` routes
-  giant payloads into their own tiny batches for heavy-tailed corpora.
+  per-process module state; no per-execution actor spin-up).  The per-row
+  cost is wildly variable (a 40-page PDF vs a 2 KB HTML page): the
+  streaming executor load-balances batches across workers, which absorbs
+  moderate skew without a keyed shuffle.
 - Checkpoint/resume: input files are hash-grouped into partitions; each
   partition streams independently and finishes by writing
   `manifest/part-K.json` with lineage (input files, row counts) and
   metrics (status histogram, bytes, wall time).  A restarted job skips
   partitions whose manifest exists — a driver-side set difference, no
-  data-plane join (SURVEY.md §2.5).
+  data-plane join (SURVEY.md §2.5).  The same commit rule (`_committed`,
+  `_commit`, `_rewrite_parquet`) marks the phases of the composed
+  textprep/ccprep/crawlprep/release runners done.
 - Output is partitioned parquet (`out/part=K/`), never one giant file.
 """
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 # (name, Arrow type, dtype of the engine's flat span buffer)
 _SPAN_FIELDS = [
@@ -77,17 +79,18 @@ def _build_spans_array(span_cols) -> pa.Array:
 
 
 class ExtractBatch:
-    """Actor-pool batch UDF: (url, html) -> RESULT_SCHEMA.
+    """Batch UDF: (url, html) -> RESULT_SCHEMA.
 
-    Stateful per-actor setup happens once in __init__ (table imports via
-    module load); the per-row engine call is total — every exception is
-    captured into status='error' so one bad PDF never kills a task
+    Setup happens once per worker process in __init__ (table imports via
+    module load; `extract_dataset` keeps one instance per worker through
+    `util.task_udf`); the per-row engine call is total — every exception
+    is captured into status='error' so one bad PDF never kills a task
     (SURVEY.md §4: the reference panics, we must not).
     """
 
     def __init__(self, with_spans: bool = True):
         # Touching the engine here forces the static tables (encodings,
-        # glyph names, AFM metrics) to load once per actor process.
+        # glyph names, AFM metrics) to load once per worker process.
         from ..engine import api  # noqa: F401
         from ..engine import html_extract  # noqa: F401
         self.with_spans = with_spans
@@ -145,89 +148,21 @@ class ExtractBatch:
             schema=RESULT_SCHEMA)
 
 
-_TASK_UDFS = {}
+def _extract_batch(batch: pa.Table, *, with_spans: bool) -> pa.Table:
+    from ..util import task_udf
+    return task_udf(ExtractBatch, with_spans=with_spans)(batch)
 
 
-def _task_udf(with_spans: bool):
-    """Module-level singleton UDF: Ray reuses warm worker processes across
-    task-based map_batches executions, so the engine's static tables and
-    the cross-document CMap caches load once per worker and stay hot."""
-    eb = _TASK_UDFS.get(with_spans)
-    if eb is None:
-        eb = _TASK_UDFS[with_spans] = ExtractBatch(with_spans=with_spans)
-    return eb
-
-
-def extract_batch_fn(batch: pa.Table) -> pa.Table:
-    return _task_udf(True)(batch)
-
-
-def extract_batch_fn_nospans(batch: pa.Table) -> pa.Table:
-    return _task_udf(False)(batch)
-
-
-def extract_dataset(ds, *, batch_size: int = 64, compute: str = "tasks",
-                    concurrency=None, with_spans: bool = True):
+def extract_dataset(ds, *, batch_size: int = 64, with_spans: bool = True):
     """Attach the extraction stage to a Dataset of (url, html, ...) rows.
 
-    Returns a lazy Dataset with RESULT_SCHEMA.
-
-    compute="tasks" (default): plain-function map_batches on Ray's warm,
-    reused worker processes — static tables and the font/CMap caches are
-    per-process module state, so there is no per-execution actor spin-up
-    cost and scheduling is fully elastic.  compute="actors": explicit
-    actor pool (`concurrency=(min,max)`), the right choice when the stage
-    grows heavier per-actor state (e.g. a layout model); semantics are
-    identical.
+    Returns a lazy Dataset with RESULT_SCHEMA.  Plain-function
+    map_batches on Ray's warm, reused worker processes: static tables and
+    the font/CMap caches are per-process module state, so there is no
+    per-execution actor spin-up cost and scheduling is fully elastic.
     """
-    if compute == "actors":
-        import ray  # local import: library code must not own a Ray session
-        if concurrency is None:
-            n = int(ray.cluster_resources().get("CPU", 8))
-            concurrency = (1, max(1, n))
-        return ds.map_batches(
-            ExtractBatch,
-            fn_constructor_kwargs={"with_spans": with_spans},
-            batch_size=batch_size,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    fn = extract_batch_fn if with_spans else extract_batch_fn_nospans
-    return ds.map_batches(fn, batch_size=batch_size, batch_format="pyarrow")
-
-
-def extract_dataset_bucketed(ds_factory, *, threshold_bytes: int = 256 * 1024,
-                             small_batch: int = 64, giant_batch: int = 2,
-                             with_spans: bool = True):
-    """Skew-defused extraction: giant payloads get their own tiny batches.
-
-    `ds_factory()` must return a fresh (url, html) Dataset; two filtered
-    branches are built from it (small rows -> batch_size=`small_batch`,
-    rows >= threshold -> batch_size=`giant_batch`) and unioned.  Design
-    choice: the filter re-scans the column-pruned input once per branch —
-    for a 2-column projection this is far cheaper than the alternative
-    (an all-to-all repartition keyed on payload size, which would move
-    EVERY payload byte through the object store).  The small batch bound
-    keeps worker heap at ~giant_batch x max_payload regardless of skew.
-    """
-    import pyarrow.compute as pc_
-
-    def small_only(b: pa.Table) -> pa.Table:
-        return b.filter(pc_.less(pc_.binary_length(b.column("html")),
-                                 threshold_bytes))
-
-    def giant_only(b: pa.Table) -> pa.Table:
-        return b.filter(pc_.greater_equal(pc_.binary_length(b.column("html")),
-                                          threshold_bytes))
-
-    small = extract_dataset(
-        ds_factory().map_batches(small_only, batch_format="pyarrow"),
-        batch_size=small_batch, with_spans=with_spans)
-    giant = extract_dataset(
-        ds_factory().map_batches(giant_only, batch_format="pyarrow"),
-        batch_size=giant_batch, with_spans=with_spans)
-    return small.union(giant)
+    return ds.map_batches(_extract_batch, fn_kwargs={"with_spans": with_spans},
+                          batch_size=batch_size, batch_format="pyarrow")
 
 
 def read_pages(input_path, *, columns=("url", "html")):
@@ -255,58 +190,78 @@ def _list_parquet_files(input_dir: str) -> List[str]:
     return sorted(out)
 
 
+def _input_files(input_path: str) -> List[str]:
+    """The parquet files under a (possibly hive-nested) dir, or the one
+    file a file path names."""
+    files = (_list_parquet_files(input_path) if os.path.isdir(input_path)
+             else [input_path])
+    if not files:
+        raise FileNotFoundError(f"no parquet under {input_path}")
+    return files
+
+
+# -- the commit rule ----------------------------------------------------------
+# A unit of work (an extract partition, a whole pipeline phase) writes its
+# data first and its JSON marker last, by atomic rename: marker presence ==
+# unit done.  A unit without a marker is redone from scratch.
+
+def _committed(marker: str, resume: bool) -> Optional[Dict]:
+    """The marker's JSON if the unit is done and `resume` is on, else None."""
+    if resume and os.path.exists(marker):
+        with open(marker) as f:
+            return json.load(f)
+    return None
+
+
+def _commit(marker: str, metrics: Dict) -> Dict:
+    """Write `<marker>.tmp`, then rename it over `marker` (atomic)."""
+    os.makedirs(os.path.dirname(marker), exist_ok=True)
+    tmp = marker + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(metrics, f, indent=1)
+    os.replace(tmp, marker)
+    return metrics
+
+
+def _rewrite_parquet(ds, out_dir: str, **write_kw) -> int:
+    """Replace `out_dir` with `ds` written as parquet and return its row
+    count.  Files of an earlier uncommitted attempt are wiped first, so
+    the marker stays the single source of completion truth; a zero-row
+    `ds` leaves no directory (Ray writes no file for it)."""
+    if os.path.isdir(out_dir):
+        shutil.rmtree(out_dir)
+    ds.write_parquet(out_dir, **write_kw)
+    return sum(pq.read_metadata(f).num_rows
+               for f in _list_parquet_files(out_dir))
+
+
 def run_extract(input_dir: str, output_dir: str, *, num_partitions: Optional[int] = None,
-                batch_size: int = 64, concurrency=None, with_spans: bool = True,
-                resume: bool = True, size_buckets: bool = False,
-                size_threshold_bytes: int = 256 * 1024,
-                max_concurrent_partitions: int = 1) -> Dict:
+                batch_size: int = 64, with_spans: bool = True,
+                resume: bool = True) -> Dict:
     """Checkpointed flagship run.  Returns the job-level metrics dict.
 
-    Each partition = a group of input files; completed partitions are
-    skipped on restart (manifest present).  Partition manifests carry
-    lineage + per-stage metrics; job metrics are their merge.
-    `max_concurrent_partitions` > 1 overlaps partition pipelines via a
-    thread pool (manifests stay per-partition-atomic); on this shared
-    host it shows no benefit, so the default stays sequential.
+    `input_dir` is a parquet dir (searched recursively) or one parquet
+    file.  Each partition = a group of input files, run one after another
+    as one Ray job each; completed partitions are skipped on restart
+    (manifest present).  Partition manifests carry lineage + per-stage
+    metrics; job metrics are their merge.
     """
-    files = _list_parquet_files(input_dir) if os.path.isdir(input_dir) else [input_dir]
-    if not files:
-        raise FileNotFoundError(f"no parquet under {input_dir}")
-    if num_partitions is None:
-        num_partitions = len(files)
-    parts = _partition_files(files, num_partitions)
+    files = _input_files(input_dir)
+    parts = _partition_files(files, num_partitions or len(files))
     manifest_dir = os.path.join(output_dir, "manifest")
-    os.makedirs(manifest_dir, exist_ok=True)
 
     job = {"partitions": 0, "skipped_partitions": 0, "rows": 0,
            "payload_bytes": 0, "extracted_chars": 0, "statuses": {},
            "wall_s": 0.0}
     t_job = time.perf_counter()
-
-    def do_partition(pid, group):
+    for pid, group in sorted(parts.items()):
         mpath = os.path.join(manifest_dir, f"part-{pid:05d}.json")
-        if resume and os.path.exists(mpath):
-            return None
-        metrics = _run_partition(pid, group, output_dir, batch_size=batch_size,
-                                 concurrency=concurrency, with_spans=with_spans,
-                                 size_buckets=size_buckets,
-                                 size_threshold_bytes=size_threshold_bytes)
-        tmp = mpath + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(metrics, f, indent=1)
-        os.replace(tmp, mpath)  # atomic: manifest presence == partition done
-        return metrics
-
-    from concurrent.futures import ThreadPoolExecutor
-    _stabilize_lazy_imports()
-    ordered = sorted(parts.items())
-    n_threads = max(1, min(max_concurrent_partitions, len(ordered)))
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        results = list(pool.map(lambda kv: do_partition(*kv), ordered))
-    for metrics in results:
-        if metrics is None:
+        if _committed(mpath, resume) is not None:
             job["skipped_partitions"] += 1
             continue
+        metrics = _commit(mpath, _run_partition(
+            pid, group, output_dir, batch_size=batch_size,
+            with_spans=with_spans))
         job["partitions"] += 1
         job["rows"] += metrics["rows"]
         job["payload_bytes"] += metrics["payload_bytes"]
@@ -317,74 +272,34 @@ def run_extract(input_dir: str, output_dir: str, *, num_partitions: Optional[int
     return job
 
 
-def _stabilize_lazy_imports() -> None:
-    """Ray's path resolution lazily does `from fsspec.implementations.http
-    import HTTPFileSystem` on EVERY read/write call; in this environment
-    that import always fails (no aiohttp), and a failed import is never
-    cached — so two pool threads re-importing concurrently can observe a
-    partially-initialized module and die on a spurious ImportError.
-    Install a sentinel module (only used via isinstance) so the import
-    deterministically succeeds and gets cached."""
-    import sys
-    import types
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-        return
-    except Exception:
-        pass
-    mod = types.ModuleType("fsspec.implementations.http")
-
-    class HTTPFileSystem:  # sentinel: never instantiated, isinstance-only
-        pass
-
-    mod.HTTPFileSystem = HTTPFileSystem
-    sys.modules["fsspec.implementations.http"] = mod
-
-
 def _run_partition(pid: int, files: List[str], output_dir: str, *,
-                   batch_size: int, concurrency, with_spans: bool,
-                   size_buckets: bool = False,
-                   size_threshold_bytes: int = 256 * 1024) -> Dict:
-    import ray
+                   batch_size: int, with_spans: bool) -> Dict:
+    """Extract + write one partition (one Ray job) and return its
+    manifest; the caller commits it."""
     part_dir = os.path.join(output_dir, f"part={pid:05d}")
-    # a partition without a manifest is incomplete: wipe any partial files
-    # from a previous crashed/preempted attempt before rewriting, so the
-    # manifest remains the single source of completion truth
-    if os.path.isdir(part_dir):
-        import shutil
-        shutil.rmtree(part_dir)
     t0 = time.perf_counter()
-    if size_buckets:
-        result = extract_dataset_bucketed(
-            lambda: read_pages(files), threshold_bytes=size_threshold_bytes,
-            small_batch=batch_size, with_spans=with_spans)
-    else:
-        ds = read_pages(files)
-        result = extract_dataset(ds, batch_size=batch_size, concurrency=concurrency,
-                                 with_spans=with_spans)
-    result.write_parquet(part_dir)
+    rows = _rewrite_parquet(extract_dataset(read_pages(files),
+                                            batch_size=batch_size,
+                                            with_spans=with_spans), part_dir)
     t1 = time.perf_counter()
-    # cheap metrics pass: column-pruned read of the partition output,
-    # ONE aggregation job (count + both sums per status) — each extra
-    # dataset execution costs fixed scheduling seconds x n_partitions
-    from ray.data.aggregate import Count, Sum
-    out = ray.data.read_parquet(part_dir, columns=["status", "payload_bytes", "n_chars"])
-    agg = out.groupby("status").aggregate(
-        Count(), Sum("payload_bytes"), Sum("n_chars")).take_all()
-    statuses = {r["status"]: r["count()"] for r in agg}
-    rows = sum(statuses.values())
-    sums = {"sum(payload_bytes)": sum(r["sum(payload_bytes)"] or 0
-                                      for r in agg),
-            "sum(n_chars)": sum(r["sum(n_chars)"] or 0 for r in agg)}
+    # metrics from the written footers + three columns, read on the driver
+    cols = ["status", "payload_bytes", "n_chars"]
+    out = pa.concat_tables(
+        [RESULT_SCHEMA.empty_table().select(cols)]
+        + [pq.read_table(f, columns=cols)
+           for f in _list_parquet_files(part_dir)])
+    statuses = {v["values"]: v["counts"]
+                for v in pc.value_counts(out.column("status")).to_pylist()}
+    payload_bytes = pc.sum(out.column("payload_bytes")).as_py() or 0
+    wall = t1 - t0
     return {
         "partition": pid,
         "lineage": {"input_files": files},
         "rows": rows,
-        "statuses": statuses,
-        "payload_bytes": int(sums["sum(payload_bytes)"] or 0),
-        "extracted_chars": int(sums["sum(n_chars)"] or 0),
-        "extract_wall_s": t1 - t0,
-        "docs_per_s": rows / (t1 - t0) if t1 > t0 else None,
-        "mb_per_s": (int(sums["sum(payload_bytes)"] or 0) / 1e6) / (t1 - t0)
-                    if t1 > t0 else None,
+        "statuses": dict(sorted(statuses.items())),
+        "payload_bytes": payload_bytes,
+        "extracted_chars": pc.sum(out.column("n_chars")).as_py() or 0,
+        "extract_wall_s": wall,
+        "docs_per_s": rows / wall if wall > 0 else None,
+        "mb_per_s": (payload_bytes / 1e6) / wall if wall > 0 else None,
     }

@@ -179,33 +179,24 @@ def run_release(input_dir: str, output_dir: str, *,
     (`release/shard=K/`) plus a manifest with per-phase wall times; a
     finished run short-circuits on resume (the ccprep extraction layer
     underneath keeps its own per-partition resume)."""
-    import json
     import os
-    import shutil
     import time as _time
 
     import ray
 
+    from .extract import _commit, _committed, _rewrite_parquet
+
     final_dir = os.path.join(output_dir, "release")
     marker = os.path.join(output_dir, "manifest", "release.json")
-    os.makedirs(os.path.dirname(marker), exist_ok=True)
-    if resume and os.path.exists(marker):
-        with open(marker) as f:
-            return json.load(f)
+    done = _committed(marker, resume)
+    if done is not None:
+        return done
 
     timings: dict = {}
     t0 = _time.perf_counter()
     pages = ray.data.read_parquet(input_dir, columns=["url", "html"])
     ds = release_dataset(pages, timings=timings, **kwargs)
-    if os.path.isdir(final_dir):
-        shutil.rmtree(final_dir)
-    ds.write_parquet(final_dir, partition_cols=["shard"])
-    n_out = ray.data.read_parquet(final_dir).count()
+    n_out = _rewrite_parquet(ds, final_dir, partition_cols=["shard"])
     timings["total"] = round(_time.perf_counter() - t0, 3)
-    metrics = {"rows_out": n_out, "output": final_dir,
-               "phases": timings}
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(metrics, f, indent=1)
-    os.replace(tmp, marker)
-    return metrics
+    return _commit(marker, {"rows_out": n_out, "output": final_dir,
+                            "phases": timings})

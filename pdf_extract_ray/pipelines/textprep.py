@@ -32,6 +32,17 @@ def _keep_ok(batch: pa.Table) -> pa.Table:
     return out.drop_columns(["spans", "error"])
 
 
+def _read_extracted_ok(extract_dir: str):
+    """The ok rows of a run_extract checkpoint, as `_keep_ok` shapes them.
+    `partitioning=None`: the `part=K` dirs must not add a `part` column."""
+    import ray
+
+    from .extract import _list_parquet_files
+    return ray.data.read_parquet(_list_parquet_files(extract_dir),
+                                 partitioning=None) \
+        .map_batches(_keep_ok, batch_format="pyarrow")
+
+
 def _enrich(batch: pa.Table) -> pa.Table:
     """Token count, quality score, lang id over extracted_text (reuses the
     ops kernels on a renamed view)."""
@@ -144,45 +155,21 @@ def run_textprep(input_dir: str, output_dir: str, *,
 
     Returns the job metrics dict ({"extract": ..., "rows_out": ...}).
     """
-    import json
     import os
 
-    import pyarrow.compute as _pc
-    import ray
-
-    from .extract import run_extract
+    from .extract import _commit, _committed, _rewrite_parquet, run_extract
 
     extract_dir = os.path.join(output_dir, "extracted")
     final_dir = os.path.join(output_dir, "textprep")
     marker = os.path.join(output_dir, "manifest", "textprep.json")
-    os.makedirs(os.path.dirname(marker), exist_ok=True)
-
-    if resume and os.path.exists(marker):
-        with open(marker) as f:
-            return json.load(f)  # whole job already finished
+    done = _committed(marker, resume)
+    if done is not None:
+        return done  # whole job already finished
 
     job = run_extract(input_dir, extract_dir, with_spans=False,
                       resume=resume, batch_size=64)
-
-    import glob as _glob
-    part_files = sorted(_glob.glob(
-        os.path.join(extract_dir, "part=*", "*.parquet")))
-    keep_cols = ["url", "extracted_text", "status", "kind",
-                 "payload_bytes", "n_chars"]
-    ok = ray.data.read_parquet(part_files) \
-        .map_batches(lambda b: b.filter(_pc.equal(b.column("status"), "ok"))
-                     .select(keep_cols),
-                     batch_format="pyarrow")
-    result = _dedup_enrich(ok, num_partitions=num_partitions,
+    result = _dedup_enrich(_read_extracted_ok(extract_dir), num_partitions=num_partitions,
                            min_quality=min_quality)
-    import shutil
-    if os.path.isdir(final_dir):
-        shutil.rmtree(final_dir)  # phase-2 output rebuilt atomically
-    result.write_parquet(final_dir)
-    n_out = ray.data.read_parquet(final_dir).count()
-    metrics = {"extract": job, "rows_out": n_out, "output": final_dir}
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(metrics, f, indent=1)
-    os.replace(tmp, marker)
-    return metrics
+    n_out = _rewrite_parquet(result, final_dir)
+    return _commit(marker, {"extract": job, "rows_out": n_out,
+                            "output": final_dir})

@@ -2,17 +2,6 @@
 from __future__ import annotations
 
 
-def default_concurrency(lo: int = 1):
-    """Actor-pool sizing: autoscale between `lo` and the cluster CPU count.
-    Ray requires an explicit `concurrency` for callable-class UDFs."""
-    import ray
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        n = 8
-    return (lo, max(lo, n))
-
-
 _UDF_SINGLETONS = {}
 
 

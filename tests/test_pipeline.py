@@ -122,19 +122,45 @@ def test_output_partitioned(extract_run):
     assert len(parts) > 1  # never one giant file
 
 
-def test_size_bucketed_same_results(extract_run, ray_session, tmp_path):
-    """The skew-bucketed pipeline produces the same rows as the plain one."""
-    in_dir, plain_out, _job = extract_run
-    out_dir = str(tmp_path / "bucketed")
-    job = run_extract(in_dir, out_dir, size_buckets=True,
-                      size_threshold_bytes=4096)
-    assert job["rows"] == N_ROWS
-    got = load_results(out_dir)
-    want = load_results(plain_out)
-    assert set(got) == set(want)
-    for url, r in got.items():
-        assert r["extracted_text"] == want[url]["extracted_text"], url
-        assert r["status"] == want[url]["status"], url
+def test_zero_row_partition_commits_empty_manifest(ray_session, tmp_path):
+    """A partition whose input files hold no rows gets no parquet output
+    (Ray writes no file for it) but still commits a manifest with
+    rows 0, and a restart skips it like any other finished partition."""
+    from pdf_extract_ray.pipelines.extract import _partition_files
+    # one file name per partition of 2
+    names = {}
+    for i in range(32):
+        (pid,) = _partition_files([f"pages-{i}.parquet"], 2)
+        names.setdefault(pid, f"pages-{i}.parquet")
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    tbl = make_pages_table(8)
+    pq.write_table(tbl, str(in_dir / names[0]))
+    pq.write_table(tbl.slice(0, 0), str(in_dir / names[1]))
+    out_dir = str(tmp_path / "out")
+
+    job = run_extract(str(in_dir), out_dir, num_partitions=2, batch_size=8)
+    assert job["partitions"] == 2 and job["rows"] == 8
+    with open(os.path.join(out_dir, "manifest", "part-00001.json")) as f:
+        empty = json.load(f)
+    assert empty["lineage"]["input_files"] == [str(in_dir / names[1])]
+    assert empty["rows"] == 0 and empty["statuses"] == {}
+    assert empty["payload_bytes"] == 0 and empty["extracted_chars"] == 0
+    assert len(load_results(out_dir)) == 8
+
+    job2 = run_extract(str(in_dir), out_dir, num_partitions=2, batch_size=8)
+    assert job2["skipped_partitions"] == 2 and job2["partitions"] == 0
+
+
+def test_extract_checkpoint_reads_as_keep_ok(extract_run):
+    """textprep/ccprep read the extract checkpoint with `_keep_ok`'s
+    columns only: the hive-style `part=K` dirs add no `part` column."""
+    from pdf_extract_ray.pipelines.textprep import _read_extracted_ok
+    _in, out_dir, _job = extract_run
+    ok = _read_extracted_ok(out_dir)
+    assert ok.schema().names == ["url", "extracted_text", "status", "kind",
+                                 "payload_bytes", "n_chars"]
+    assert set(ok.unique("status")) == {"ok"}
 
 
 def test_textprep_composed(ray_session):

@@ -525,6 +525,35 @@ class TestKnnLabelEval:
         # one vote each for 5 and 3 -> smallest label wins
         assert out["pred_label"].tolist() == [3]
 
+    def test_null_embedding_matches_duckdb(self):
+        """A NULL embedding is a zero vector on both sides: with
+        components of both signs its zero dot beats the negative dots
+        and lands inside queries' top 5, where its label (the smallest,
+        every other label distinct) wins the vote tie."""
+        import importlib.util
+
+        import duckdb
+        from pdf_extract_ray.ops.similarity import knn_label_eval
+        rng = np.random.RandomState(5)
+        embs = [rng.uniform(-1.0, 1.0, 64).tolist() for _ in range(8)]
+        embs[3] = None
+        df = pd.DataFrame({"vec_id": range(8), "embedding": embs,
+                           "label": [0 if i == 3 else 10 + i
+                                     for i in range(8)]})
+        got = knn_label_eval(_ds(df)).sort_values("query_id") \
+            .reset_index(drop=True)
+        assert (got["pred_label"] == 0).any()
+        spec = importlib.util.spec_from_file_location(
+            "m_knn", os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "__ray_entry__.py"))
+        m = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(m)
+        con = duckdb.connect()
+        con.register("embeddings", df)
+        want = con.execute(m.oracle_sql()["knn_label_eval"]).fetchdf() \
+            .sort_values("query_id").reset_index(drop=True)
+        assert got.to_dict("list") == want.to_dict("list")
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestL1LineFit:

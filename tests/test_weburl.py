@@ -209,6 +209,35 @@ def test_crawlprep_checkpointed_resume(ray_session, tmp_path):
             "skipped_partitions", 0)
 
 
+def test_crawlprep_nested_and_single_file_input(ray_session, tmp_path):
+    """run_crawlprep takes its input the way run_extract does: every
+    parquet file under a hive-style nested dir, or the one file a file
+    path names."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from pdf_extract_ray.data.pages import make_pages_table
+    from pdf_extract_ray.pipelines.crawlprep import run_crawlprep
+    tbl = make_pages_table(20)
+    for k, day in enumerate(("2024-01-01", "2024-01-02")):
+        part = tmp_path / "in" / f"day={day}"
+        part.mkdir(parents=True)
+        pq.write_table(tbl.slice(10 * k, 10), str(part / "pages.parquet"))
+
+    nested = run_crawlprep(str(tmp_path / "in"), str(tmp_path / "nested"),
+                           num_partitions=2)
+    assert nested["urlprep"]["rows_in"] == 20
+    assert nested["urlprep"]["survivors"] == 20
+    assert nested["extract"]["rows"] == 20
+
+    one = os.path.join(str(tmp_path / "in"), "day=2024-01-02",
+                       "pages.parquet")
+    single = run_crawlprep(one, str(tmp_path / "single"), num_partitions=2)
+    assert single["urlprep"]["rows_in"] == 10
+    assert single["extract"]["rows"] == 10
+
+
 class TestNormalizerProperties:
     def test_idempotence_over_fuzz_corpus(self):
         """normalize(normalize(x)) == normalize(x): canonical forms
