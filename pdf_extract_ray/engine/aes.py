@@ -1,8 +1,9 @@
 """Minimal pure-Python AES (128/192/256) + CBC, for PDF standard-security
-decryption (AESV2/AESV3).  Implements FIPS-197 directly; no external
-crypto dependency (none is available in this environment).  Throughput is
-modest (~100 KB/s/core) — encrypted PDFs are a tiny corpus fraction and
-rows are totalized to errors on failure anyway."""
+decryption (AESV2/AESV3).  Implements FIPS-197 directly: the engine
+takes no crypto-library dependency, by choice, so it runs wherever
+Python does.  Throughput is modest (~100 KB/s/core) — encrypted PDFs are
+a tiny corpus fraction and rows are totalized to errors on failure
+anyway."""
 from __future__ import annotations
 
 _SBOX = bytes.fromhex(

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .devices import OutputDev, PlainTextOutput, SpanTextOutput
+from .devices import (OutputDev, PlainTextOutput, SpanGeometry,
+                      SpanTextOutput)
 from .document import Document, load_document
 from .interpreter import Processor
 from .objects import (Name, PdfError, PdfString, Ref, maybe_deref,
@@ -174,14 +175,18 @@ def extract_text_and_spans_from_mem(buffer: bytes
     return out.get_text(), out.spans
 
 
-def extract_text_and_span_columns_from_mem(buffer: bytes):
-    """Pipeline fast path: text + flat span columns
-    (pages, starts, ends, xs, ys, font_sizes) — no per-char tuples."""
+def extract_text_and_span_columns_from_mem(buffer: bytes
+                                           ) -> Tuple[str, SpanGeometry]:
+    """Pipeline fast path: text + the unplaced glyph geometry
+    (`SpanGeometry`, one entry of `t4` per glyph) that
+    `devices.resolve_span_columns` turns into the span columns
+    (pages, starts, ends, xs, ys, font_sizes) — resolve many documents'
+    geometries in one call."""
     doc = load_document(buffer)
     maybe_decrypt(doc)
     out = SpanTextOutput()
     output_doc(doc, out)
-    return out.get_text(), out.span_columns()
+    return out.get_text(), out.geometry()
 
 
 def get_metadata(buffer_or_doc) -> Dict[str, str]:

@@ -1,16 +1,27 @@
-"""Output devices: consumers of the per-character event stream.
+"""Output devices: consumers of the text and path event stream.
 
 `OutputDev` is the user-extension surface (reference src/lib.rs:1879-1888).
+Text arrives one text string (a "run") at a time through `output_run`,
+which carries the run's geometry rather than per-glyph matrices (see
+`interpreter.show_text`); a device evaluates only the glyph positions it
+needs.  `OutputDev`'s default `output_run` feeds `output_character` once
+per glyph with the full text-rendering matrix, which is what `HTMLOutput`
+and devices that override only `output_character` see.
+
 `PlainTextOutput` is the byte-parity-critical word/line reconstruction
-(src/lib.rs:2131-2200); `SpanTextOutput` produces identical text plus a
-span record per character for the `spans` output column.
+(src/lib.rs:2131-2200); it places only a run's first and last glyph.
+`SpanTextOutput` produces identical text and records each run's geometry
+in flat buffers (`SpanGeometry`); `resolve_span_columns` turns one or
+many of them into the (page, start, end, x, y, font_size) span columns
+in numpy.
 """
 from __future__ import annotations
 
 import array
-from itertools import accumulate
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from .fonts import Glyph
 from .interpreter import Transform, mul, transform_vector, translation
@@ -22,11 +33,11 @@ class OutputDev:
     """Protocol for event consumers; all hooks default to no-ops.
 
     Text arrives one text string at a time: `show_text` calls
-    `begin_word`, then `output_run` with the string's glyphs (if it has
-    any), then `end_word`.  A device overrides either `output_character`,
-    which the default `output_run` calls once per glyph with the glyph's
-    full text-rendering matrix, or `output_run` itself to handle the
-    whole string in one call.
+    `begin_word`, then `output_run` with the string's geometry (if it has
+    any glyphs), then `end_word`.  A device overrides either
+    `output_character`, which the default `output_run` calls once per
+    glyph with the glyph's full text-rendering matrix, or `output_run`
+    itself to handle the whole string in one call.
     """
 
     def begin_page(self, page_num: int, media_box, art_box) -> None:
@@ -40,18 +51,29 @@ class OutputDev:
         pass
 
     def output_run(self, linear_part: Sequence[float], font_size: float,
-                   e4s: Sequence[float], e5s: Sequence[float],
+                   rise: Tuple[float, float], ctm: Transform,
+                   t4s: Sequence[float], t5s: Sequence[float],
                    glyphs: Sequence[Glyph],
-                   spacings: Sequence[float]) -> None:
+                   spacing: Tuple[float, float]) -> None:
         """One text string's glyphs, in order.  Glyph i has the
-        text-rendering matrix `(*linear_part, e4s[i], e5s[i])`, the
-        `(width / 1000, char, is_word_space)` of `glyphs[i]` and the
-        advance spacing `spacings[i]`; the linear part and font size are
-        shared by the whole run."""
+        text-rendering matrix `(*linear_part, e4, e5)` with
+        `e4 = r4 + (t4s[i] * c0 + t5s[i] * c2 + c4)` and
+        `e5 = r5 + (t4s[i] * c1 + t5s[i] * c3 + c5)`, where
+        `(r4, r5) = rise` and `(c0, ..., c5) = ctm`; the
+        `(width / 1000, char, is_word_space)` of `glyphs[i]`; and the
+        advance spacing `spacing[1]` if it is a word space, else
+        `spacing[0]`.  Everything but t4s/t5s/glyphs is shared by the
+        whole run."""
         a, b, c, d = linear_part
+        r4, r5 = rise
+        c0, c1, c2, c3, c4, c5 = ctm
+        char_spacing, space_spacing = spacing
         out = self.output_character
-        for e4, e5, glyph, spacing in zip(e4s, e5s, glyphs, spacings):
-            out((a, b, c, d, e4, e5), glyph[0], spacing, font_size, glyph[1])
+        for t4, t5, (width, char, word_space) in zip(t4s, t5s, glyphs):
+            out((a, b, c, d, r4 + (t4 * c0 + t5 * c2 + c4),
+                 r5 + (t4 * c1 + t5 * c3 + c5)), width,
+                space_spacing if word_space else char_spacing, font_size,
+                char)
 
     def begin_word(self) -> None:
         pass
@@ -82,9 +104,9 @@ class PlainTextOutput(OutputDev):
       space   if x > last_end + 0.1 * tfs
     where tfs = sqrt(tx*ty) of the trm-transformed (fs, fs) vector.
     The rules apply only to a word's first glyph, and tfs depends only
-    on the linear part of trm and the font size, so both are worked out
-    once per run.  Line breaks come ONLY from these y-delta rules;
-    end_line is a no-op (src/lib.rs:2196-2199).
+    on the linear part of trm and the font size, so a run is placed by
+    its first and last glyph alone.  Line breaks come ONLY from these
+    y-delta rules; end_line is a no-op (src/lib.rs:2196-2199).
     """
 
     def __init__(self):
@@ -105,25 +127,35 @@ class PlainTextOutput(OutputDev):
         self.first_char = True
 
     def output_character(self, trm, width, spacing, font_size, char) -> None:
-        self.output_run(trm[:4], font_size, (trm[4],), (trm[5],),
-                        ((width, char, False),), (spacing,))
+        # a one-glyph run with t4 = t5 = -0.0, rise -0.0 and a ctm with a
+        # zero linear part and translation trm[4:]: e4 = -0.0 + ((-0.0 *
+        # 0.0 + -0.0 * 0.0) + trm[4]) == trm[4] bit for bit (x + -0.0 == x
+        # for every float x), and likewise e5 == trm[5]
+        self.output_run(trm[:4], font_size, (-0.0, -0.0),
+                        (0.0, 0.0, 0.0, 0.0, trm[4], trm[5]), [-0.0], [-0.0],
+                        [(width, char, False)], (spacing, spacing))
 
-    def output_run(self, linear_part, font_size, e4s, e5s, glyphs,
-                   spacings) -> None:
-        _tfs, sep = self._place_run(linear_part, font_size, e4s, e5s, glyphs)
+    def output_run(self, linear_part, font_size, rise, ctm, t4s, t5s, glyphs,
+                   spacing) -> None:
+        _tfs, sep = self._place_run(linear_part, font_size, rise, ctm, t4s,
+                                    t5s, glyphs)
         self.parts.append(sep + "".join(map(_glyph_char, glyphs)))
 
-    def _place_run(self, linear_part, font_size, e4s, e5s,
+    def _place_run(self, linear_part, font_size, rise, ctm, t4s, t5s,
                    glyphs) -> Tuple[float, str]:
         """-> (tfs, separator to put before the run), and move the
         line/word state past the run's last glyph."""
         tvx, tvy = transform_vector(linear_part, font_size, font_size)
         tfs = _sqrt_or_nan(tvx * tvy)
+        r4, r5 = rise
+        c0, c1, c2, c3, c4, c5 = ctm
         # translation row of mul(trm, flip_ctm), inlined (only 4,5 used)
         f0, f1, f2, f3, f4, f5 = self.flip_ctm
         sep = ""
         if self.first_char:
-            e4, e5 = e4s[0], e5s[0]
+            t4, t5 = t4s[0], t5s[0]
+            e4 = r4 + (t4 * c0 + t5 * c2 + c4)
+            e5 = r5 + (t4 * c1 + t5 * c3 + c5)
             x = e4 * f0 + e5 * f2 + f4
             dy = abs(e4 * f1 + e5 * f3 + f5 - self.last_y)
             if dy > tfs * 1.5:
@@ -134,10 +166,34 @@ class PlainTextOutput(OutputDev):
             if x > self.last_end + tfs * 0.1:
                 sep += " "
             self.first_char = False
-        e4, e5 = e4s[-1], e5s[-1]
+        t4, t5 = t4s[-1], t5s[-1]
+        e4 = r4 + (t4 * c0 + t5 * c2 + c4)
+        e5 = r5 + (t4 * c1 + t5 * c3 + c5)
         self.last_y = e4 * f1 + e5 * f3 + f5
         self.last_end = e4 * f0 + e5 * f2 + f4 + glyphs[-1][0] * tfs
         return tfs, sep
+
+
+# SpanTextOutput's per-run record: RUN_WIDTH doubles, in this order
+_RUN_FIELDS = ("page", "start", "n", "tfs", "c0", "c1", "c2", "c3", "c4",
+               "c5", "r4", "r5", "f0", "f1", "f2", "f3", "f4", "f5")
+RUN_WIDTH = len(_RUN_FIELDS)
+(_PAGE, _START, _N, _TFS, _C0, _C1, _C2, _C3, _C4, _C5, _R4, _R5,
+ _F0, _F1, _F2, _F3, _F4, _F5) = range(RUN_WIDTH)
+_INT32_MAX = 2 ** 31 - 1
+_ONE = array.array("i", (1,))
+
+
+class SpanGeometry(NamedTuple):
+    """A document's glyph geometry as SpanTextOutput recorded it: per
+    glyph the tm translation (t4, t5) and the length of its decoded
+    string, and per run one RUN_WIDTH-double record (page, text offset of
+    the run's first glyph, glyph count, transformed font size, ctm, rise
+    terms, flip ctm).  `len(t4)` is the glyph count."""
+    t4: array.array
+    t5: array.array
+    char_len: array.array
+    runs: array.array
 
 
 class SpanTextOutput(PlainTextOutput):
@@ -146,53 +202,125 @@ class SpanTextOutput(PlainTextOutput):
     final extracted text.  Text output is byte-identical to PlainTextOutput
     by construction (it IS PlainTextOutput's logic).
 
-    Spans are collected as flat columnar buffers (`span_columns`) so the
-    Arrow list<struct> column can be built zero-inference; the tuple-list
-    `spans` property remains for direct API users."""
+    A run appends its glyphs' t4/t5 and decoded-string lengths to flat
+    buffers and one fixed-width record to `runs`; no glyph is placed
+    here.  `geometry()` hands the buffers over, and
+    `resolve_span_columns` places the glyphs of one or many documents in
+    numpy.  The tuple-list `spans` property remains for direct API
+    users."""
 
     def __init__(self):
         super().__init__()
-        self._pages = array.array("i")
-        self._starts = array.array("i")
-        self._ends = array.array("i")
-        self._xs = array.array("d")
-        self._ys = array.array("d")
-        self._fss = array.array("d")
+        self._geometry = SpanGeometry(array.array("d"), array.array("d"),
+                                      array.array("i"), array.array("d"))
         self._page = 0
         self._len = 0
 
     @property
     def spans(self) -> List[Tuple[int, int, int, float, float, float]]:
-        return list(zip(self._pages, self._starts, self._ends,
-                        self._xs, self._ys, self._fss))
+        # resolve a copy: the resolve consumes the buffers it is given
+        copy = SpanGeometry(*(array.array(b.typecode, b)
+                              for b in self._geometry))
+        return list(zip(*(c.tolist() for c in resolve_span_columns([copy]))))
 
-    def span_columns(self):
-        """-> (pages, starts, ends, xs, ys, font_sizes) flat arrays."""
-        return (self._pages, self._starts, self._ends,
-                self._xs, self._ys, self._fss)
+    def geometry(self) -> SpanGeometry:
+        """The recorded buffers, for `resolve_span_columns` (once)."""
+        return self._geometry
 
     def begin_page(self, page_num, media_box, art_box) -> None:
         super().begin_page(page_num, media_box, art_box)
         self._page = page_num
 
-    def output_run(self, linear_part, font_size, e4s, e5s, glyphs,
-                   spacings) -> None:
-        tfs, sep = self._place_run(linear_part, font_size, e4s, e5s, glyphs)
+    def output_run(self, linear_part, font_size, rise, ctm, t4s, t5s, glyphs,
+                   spacing) -> None:
+        # t4s and t5s are lists (show_text builds them), so `fromlist`
+        # copies them without the iterator protocol
+        tfs, sep = self._place_run(linear_part, font_size, rise, ctm, t4s,
+                                   t5s, glyphs)
         chars = list(map(_glyph_char, glyphs))
-        self.parts.append(sep + "".join(chars))
-        # each glyph's span covers its own (possibly empty or multi-char)
-        # decoded string
-        offsets = array.array("i", accumulate(map(len, chars),
-                                              initial=self._len + len(sep)))
-        self._len = offsets[-1]
-        self._starts += offsets[:-1]
-        self._ends += offsets[1:]
-        f0, f1, f2, f3, f4, f5 = self.flip_ctm
-        self._xs.extend([e4 * f0 + e5 * f2 + f4 for e4, e5 in zip(e4s, e5s)])
-        self._ys.extend([e4 * f1 + e5 * f3 + f5 for e4, e5 in zip(e4s, e5s)])
+        text = "".join(chars)
+        self.parts.append(sep + text)
+        start = self._len + len(sep)
+        self._len = start + len(text)
+        if self._len > _INT32_MAX:
+            raise OverflowError("span offsets exceed int32")
+        geom = self._geometry
+        geom.t4.fromlist(t4s)
+        geom.t5.fromlist(t5s)
         n = len(chars)
-        self._pages += array.array("i", (self._page,)) * n
-        self._fss += array.array("d", (tfs,)) * n
+        if len(text) == n and "" not in chars:
+            geom.char_len.extend(_ONE * n)  # one char per glyph
+        else:
+            geom.char_len.fromlist(list(map(len, chars)))
+        geom.runs.fromlist([self._page, start, n, tfs, *ctm, *rise,
+                            *self.flip_ctm])
+
+
+# glyphs per resolve step: bounds the temporaries of resolve_span_columns
+# (and, in the pipeline, how many small documents share one span chunk)
+SPAN_CHUNK = 1 << 15
+
+
+def resolve_span_columns(geometries: Sequence[SpanGeometry]):
+    """Place every glyph of `geometries`, in order, and return the span
+    columns: page, start, end (int32) and x, y, font_size (float64).
+
+    The columns x, y and end are written over the per-glyph t4, t5 and
+    char_len buffers: with one geometry they ARE its buffers, so the
+    call consumes it and the glyphs take no memory beyond the columns;
+    with several, they are a concatenation of them.  Runs are placed in
+    steps of about SPAN_CHUNK glyphs, so temporaries stay bounded however
+    large the input.  Each float is the same IEEE operation on the same
+    operands, in the same order, as `OutputDev.output_run`'s trm followed
+    by the translation row of `mul(trm, flip_ctm)`.  It cannot raise on
+    buffers a SpanTextOutput recorded: NaN and inf propagate as they do
+    in Python."""
+    dtypes = (np.float64, np.float64, np.int32, np.float64)
+    if len(geometries) == 1:
+        xs, ys, ends, runs = (np.frombuffer(buf, dt)
+                              for buf, dt in zip(geometries[0], dtypes))
+    else:
+        xs, ys, ends, runs = (
+            np.concatenate([g[k] for g in geometries] or [np.empty(0, dt)])
+            for k, dt in enumerate(dtypes))
+    runs = runs.reshape(-1, RUN_WIDTH)
+    counts = runs[:, _N].astype(np.int64)
+    run_ends = np.cumsum(counts)
+    n = len(xs)
+    pages = np.empty(n, np.int32)
+    starts = np.empty(n, np.int32)
+    fss = np.empty(n, np.float64)
+    r = g = 0
+    with np.errstate(all="ignore"):
+        while r < len(runs):
+            # the next runs of about SPAN_CHUNK glyphs (at least one run)
+            r_end = max(r + 1, int(np.searchsorted(run_ends, g + SPAN_CHUNK,
+                                                   side="right")))
+            g_end = int(run_ends[r_end - 1])
+            step, c = runs[r:r_end], counts[r:r_end]
+
+            def per_glyph(field):
+                return np.repeat(step[:, field], c)
+
+            t4, t5 = xs[g:g_end], ys[g:g_end]
+            e4 = per_glyph(_R4) + (t4 * per_glyph(_C0) + t5 * per_glyph(_C2)
+                                   + per_glyph(_C4))
+            e5 = per_glyph(_R5) + (t4 * per_glyph(_C1) + t5 * per_glyph(_C3)
+                                   + per_glyph(_C5))
+            t4[:] = e4 * per_glyph(_F0) + e5 * per_glyph(_F2) + per_glyph(_F4)
+            t5[:] = e4 * per_glyph(_F1) + e5 * per_glyph(_F3) + per_glyph(_F5)
+            fss[g:g_end] = per_glyph(_TFS)
+            pages[g:g_end] = per_glyph(_PAGE)
+            # a glyph starts at its run's text offset plus the decoded
+            # lengths of the run's earlier glyphs
+            lens = ends[g:g_end]
+            before = np.cumsum(lens, dtype=np.int64) - lens
+            start = (per_glyph(_START).astype(np.int64) + before
+                     - np.repeat(before[np.cumsum(c) - c], c))
+            starts[g:g_end] = start
+            lens[:] = start + lens
+            r, g = r_end, g_end
+    return pages, starts, ends, xs, ys, fss
 
 
 class PageTextOutput(PlainTextOutput):

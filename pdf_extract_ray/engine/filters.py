@@ -183,10 +183,15 @@ def _rle_decode(data: bytes) -> bytes:
     return bytes(out)
 
 
+# the LZW table after a clear: the 256 single bytes, then placeholders
+# for the clear (256) and end-of-data (257) codes
+_LZW_INITIAL_TABLE = [bytes([i]) for i in range(256)] + [b"", b""]
+
+
 def _lzw_decode(data: bytes) -> bytes:
     """LZW per PDF spec §7.4.4 (early-change variant)."""
     out = bytearray()
-    table = [bytes([i]) for i in range(256)] + [b"", b""]
+    table = _LZW_INITIAL_TABLE.copy()  # copied: the decode appends to it
     bitbuf = 0
     bits = 0
     width = 9
@@ -197,8 +202,9 @@ def _lzw_decode(data: bytes) -> bytes:
         while bits >= width:
             code = (bitbuf >> (bits - width)) & ((1 << width) - 1)
             bits -= width
+            bitbuf &= (1 << bits) - 1  # keep only the unread bits
             if code == 256:  # clear
-                table = [bytes([i]) for i in range(256)] + [b"", b""]
+                table = _LZW_INITIAL_TABLE.copy()
                 width = 9
                 prev = None
                 continue

@@ -17,6 +17,7 @@ Faithful re-derivation of the reference's font layer
 from __future__ import annotations
 
 import logging
+import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tables.core_fonts import CORE_FONT_METRICS
@@ -36,6 +37,12 @@ log = logging.getLogger(__name__)
 
 # (width / 1000, decoded char, is_word_space): one shown glyph
 Glyph = Tuple[float, str, bool]
+
+# key of a per-font advance table: the bits of (horizontal scaling, font
+# size, char spacing, word-space spacing), so -0.0 and 0.0 never share one
+_advance_key = struct.Struct("4d").pack
+# distinct text states a font keeps advance tables for before starting over
+_MAX_ADVANCE_TABLES = 64
 
 CORE_FONT_NAMES = frozenset([
     "Courier-Bold", "Courier-BoldOblique", "Courier-Oblique", "Courier",
@@ -183,6 +190,18 @@ class PdfFont:
                  code == 32 and length == 1)
                 for code, length in self.char_codes(data)]
 
+    def advances(self, data: bytes, glyphs: List[Glyph], h: float,
+                 font_size: float, char_spacing: float,
+                 space_spacing: float) -> List[float]:
+        """-> the text-space advance `h * (w0 * font_size + spacing)` of
+        each of `glyphs` (the glyphs of `data`), where spacing is
+        `space_spacing` for a word space and `char_spacing` otherwise
+        (src/lib.rs:1307-1319; the reference's `w0 - 0.0 / 1000.0` is
+        `w0` bit for bit, NaN and -0.0 included)."""
+        return [h * (w0 * font_size + (space_spacing if word_space
+                                       else char_spacing))
+                for w0, _char, word_space in glyphs]
+
     def decode(self, data: bytes) -> str:
         return "".join(self.decode_char(c) for c, _l in self.char_codes(data))
 
@@ -194,6 +213,8 @@ class _Simple256Font(PdfFont):
     unicode_map: Optional[Dict[int, str]]
     widths: Dict[int, float]
     _glyph_table: Optional[Dict[int, Glyph]] = None
+    # advance key -> {code: advance}, filled from the glyph table
+    _advance_tables: Optional[Dict[bytes, Dict[int, float]]] = None
 
     def next_char(self, data, pos):
         return (data[pos], 1, pos + 1)
@@ -229,6 +250,32 @@ class _Simple256Font(PdfFont):
             if code not in table:
                 table[code] = (self.get_width(code) / 1000.0,
                                self.decode_char(code), code == 32)
+        return list(map(table.__getitem__, data))
+
+    def advances(self, data, glyphs, h, font_size, char_spacing,
+                 space_spacing):
+        # One table of the codes' advances per text state, filled from
+        # the glyph table (which `glyphs(data)` has filled for every code
+        # of `data`), with the same float ops as the generic method.
+        key = _advance_key(h, font_size, char_spacing, space_spacing)
+        tables = self._advance_tables
+        if tables is None:
+            tables = self._advance_tables = {}
+        table = tables.get(key)
+        if table is None:
+            if len(tables) >= _MAX_ADVANCE_TABLES:
+                tables.clear()
+            table = tables[key] = {}
+        try:
+            return list(map(table.__getitem__, data))
+        except KeyError:
+            pass
+        glyph_table = self._glyph_table
+        for code in data:
+            if code not in table:
+                w0, _char, word_space = glyph_table[code]
+                table[code] = h * (w0 * font_size + (
+                    space_spacing if word_space else char_spacing))
         return list(map(table.__getitem__, data))
 
 

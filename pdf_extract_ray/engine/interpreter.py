@@ -9,6 +9,9 @@ bit-identical.
 from __future__ import annotations
 
 import logging
+import operator
+from itertools import accumulate, repeat
+from math import isfinite
 from typing import List, Optional, Tuple
 
 from .content import parse_content
@@ -97,15 +100,27 @@ class GraphicsState:
 
 
 def show_text(gs: GraphicsState, s: bytes, output) -> None:
-    """Position one text string's glyphs and advance tm
+    """Place one text string's glyphs and advance tm
     (src/lib.rs:1276-1327); the device gets them as one `output_run`.
 
-    The font decodes the whole string first (`PdfFont.glyphs`), then this
-    loop only does float arithmetic.  The generic products are specialized
-    inline (tsm has the fixed shape (h,0,0,1,0,rise), the advance is a
-    pure translation): same float ops in the same order as `mul`, minus
-    the zero terms — a zero product term only ever changes the sign of a
-    zero, which no downstream comparison can observe.
+    The reference builds each glyph's text-rendering matrix
+    `trm = tsm * tm * ctm` and advances `tm` by `T(tx, 0)`.  Inside one
+    string only tm's translation (t4, t5) moves, so this function folds
+    the string's advances `tx` (`PdfFont.advances`) into the sequences of
+    t4 and t5 with `itertools.accumulate` and hands the device the run's
+    geometry instead of matrices:
+
+        output_run(linear_part, font_size, rise, ctm, t4s, t5s, glyphs,
+                   spacing)
+
+    Glyph i's trm is `(*linear_part, r4 + (t4s[i]*c0 + t5s[i]*c2 + c4),
+    r5 + (t4s[i]*c1 + t5s[i]*c3 + c5))` with `rise == (r4, r5)` and
+    `ctm == (c0, ..., c5)`; `spacing` is the (char, word-space) spacing
+    pair the glyph's `is_word_space` picks from.  Devices evaluate only
+    the glyphs they need.  The products are euclid's, minus the zero
+    terms of tsm = (h, 0, 0, 1, 0, rise) and of the advance translation:
+    a zero product term only ever changes the sign of a zero, which no
+    downstream comparison can observe.
     """
     ts = gs.ts
     font = ts.font
@@ -113,48 +128,37 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
         raise PdfError("show text with no font set")
     output.begin_word()
     glyphs = font.glyphs(s)
-    c0, c1, c2, c3, c4, c5 = gs.ctm
-    # loop invariants: inside one Tj only the tm TRANSLATION row (t4,t5)
-    # changes, and no operator can touch the text state mid-string — so
-    # the linear part of m = tm * ctm, the tsm scale factors, spacings
-    # and font size hoist out of the per-glyph loop.  Every product is
-    # the same operands in the same order as the per-glyph computation,
-    # so the emitted floats are bit-identical.
-    h = ts.horizontal_scaling
-    rise = ts.rise
     t0, t1, t2, t3, t4, t5 = ts.tm
-    m0 = t0 * c0 + t1 * c2
-    m1 = t0 * c1 + t1 * c3
-    m2 = t2 * c0 + t3 * c2
-    m3 = t2 * c1 + t3 * c3
-    r4 = rise * m2
-    r5 = rise * m3
-    char_spacing = ts.character_spacing
-    word_extra = char_spacing + ts.word_spacing
-    font_size = ts.font_size
-    # trm = tsm * (tm * ctm) with tsm = (h, 0, 0, 1, 0, rise): its linear
-    # part is constant, its translation row is (e4, e5) per glyph
-    e4s: List[float] = []
-    e5s: List[float] = []
-    spacings: List[float] = []
-    add_e4 = e4s.append
-    add_e5 = e5s.append
-    add_spacing = spacings.append
-    for w0, _char, word_space in glyphs:
-        add_e4(r4 + (t4 * c0 + t5 * c2 + c4))
-        add_e5(r5 + (t4 * c1 + t5 * c3 + c5))
-        spacing = word_extra if word_space else char_spacing
-        add_spacing(spacing)
-        # (w0 - 0.0/1000.0) == w0 bit-exactly for every float (incl.
-        # -0.0 and NaN), so the reference's ws.0 term drops out
-        tx = h * (w0 * font_size + spacing)
-        # tm = T(tx, 0) * tm: only the translation row changes
-        t4 = tx * t0 + t4
-        t5 = tx * t1 + t5
-    ts.tm = (t0, t1, t2, t3, t4, t5)
     if glyphs:
-        output.output_run((h * m0, h * m1, m2, m3), font_size, e4s, e5s,
-                          glyphs, spacings)
+        ctm = gs.ctm
+        c0, c1, c2, c3, _c4, _c5 = ctm
+        h = ts.horizontal_scaling
+        font_size = ts.font_size
+        char_spacing = ts.character_spacing
+        space_spacing = char_spacing + ts.word_spacing
+        # tm = T(tx, 0) * tm: t4 += tx * t0, t5 += tx * t1 per glyph
+        txs = font.advances(s, glyphs, h, font_size, char_spacing,
+                            space_spacing)
+        # tx * 1.0 == tx for every float, so an unscaled tm skips it
+        t4s = list(accumulate(
+            txs if t0 == 1.0 else map(operator.mul, txs, repeat(t0)),
+            initial=t4))
+        t4 = t4s.pop()
+        if t1 == 0.0 and t5 != 0.0 and isfinite(sum(txs)):
+            # every tx * t1 is a zero, and t5 + (+-0.0) == t5
+            t5s = [t5] * len(glyphs)
+        else:
+            t5s = list(accumulate(map(operator.mul, txs, repeat(t1)),
+                                   initial=t5))
+            t5 = t5s.pop()
+        # linear part of m = tm * ctm; trm = tsm * m
+        m2 = t2 * c0 + t3 * c2
+        m3 = t2 * c1 + t3 * c3
+        rise = ts.rise
+        output.output_run((h * (t0 * c0 + t1 * c2), h * (t0 * c1 + t1 * c3),
+                           m2, m3), font_size, (rise * m2, rise * m3), ctm,
+                          t4s, t5s, glyphs, (char_spacing, space_spacing))
+    ts.tm = (t0, t1, t2, t3, t4, t5)
     output.end_word()
 
 

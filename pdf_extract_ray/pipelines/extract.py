@@ -35,17 +35,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-# (name, Arrow type, dtype of the engine's flat span buffer)
+# span struct fields, in the column order of resolve_span_columns
 _SPAN_FIELDS = [
-    ("page", pa.int32(), np.int32),
-    ("start", pa.int32(), np.int32),
-    ("end", pa.int32(), np.int32),
-    ("x", pa.float64(), np.float64),
-    ("y", pa.float64(), np.float64),
-    ("font_size", pa.float64(), np.float64),
+    ("page", pa.int32()),
+    ("start", pa.int32()),
+    ("end", pa.int32()),
+    ("x", pa.float64()),
+    ("y", pa.float64()),
+    ("font_size", pa.float64()),
 ]
 SPAN_TYPE = pa.list_(pa.struct(
-    [pa.field(name, typ) for name, typ, _dtype in _SPAN_FIELDS]))
+    [pa.field(name, typ) for name, typ in _SPAN_FIELDS]))
 
 RESULT_SCHEMA = pa.schema([
     pa.field("url", pa.string()),
@@ -59,22 +59,43 @@ RESULT_SCHEMA = pa.schema([
 ])
 
 
-def _build_spans_array(span_cols) -> pa.Array:
-    """Rows of flat span buffers -> Arrow list<struct> with no Python-object
-    inference: each column is the rows' buffers joined and viewed with
-    `np.frombuffer`, wrapped in a StructArray inside a ListArray.  None
-    rows become null lists."""
-    rows = [sc for sc in span_cols if sc is not None]
-    offsets = np.zeros(len(span_cols) + 1, np.int32)
-    np.cumsum([len(sc[0]) if sc is not None else 0 for sc in span_cols],
+def _build_spans_array(geometries) -> pa.ChunkedArray:
+    """Rows' glyph geometries (`SpanGeometry`, or None) -> Arrow
+    list<struct>, None rows as null lists.
+
+    Consecutive rows are grouped into chunks of about SPAN_CHUNK glyphs;
+    a larger document is a chunk of its own.  One `resolve_span_columns`
+    call per chunk places its glyphs, so a batch of small documents is
+    resolved in one numpy pass, and a large document's columns are
+    written over its own buffers.  The numpy columns become the struct's
+    children without a copy."""
+    from ..engine.devices import SPAN_CHUNK
+    chunks, rows, glyphs = [], [], 0
+    for geom in geometries:
+        n = len(geom.t4) if geom is not None else 0
+        if rows and glyphs + n > SPAN_CHUNK:
+            chunks.append(_spans_chunk(rows))
+            rows, glyphs = [], 0
+        rows.append(geom)
+        glyphs += n
+    chunks.append(_spans_chunk(rows))
+    return pa.chunked_array(chunks, SPAN_TYPE)
+
+
+def _spans_chunk(rows) -> pa.Array:
+    """One chunk of the spans column: `rows`' glyphs resolved together."""
+    from ..engine.devices import resolve_span_columns
+    offsets = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum([len(g.t4) if g is not None else 0 for g in rows],
               out=offsets[1:])
     # pyarrow convention: a null at offsets[i] makes list element i null
-    null = np.array([sc is None for sc in span_cols] + [False])
+    null = np.array([g is None for g in rows] + [False])
     struct = pa.StructArray.from_arrays(
-        [pa.array(np.frombuffer(b"".join([sc[j] for sc in rows]), dtype),
-                  typ)
-         for j, (_name, typ, dtype) in enumerate(_SPAN_FIELDS)],
-        names=[name for name, _typ, _dtype in _SPAN_FIELDS])
+        [pa.array(col, typ) for col, (_name, typ)
+         in zip(resolve_span_columns(
+             [g for g in rows if g is not None and len(g.t4)]),
+                _SPAN_FIELDS)],
+        names=[name for name, _typ in _SPAN_FIELDS])
     return pa.ListArray.from_arrays(pa.array(offsets, mask=null), struct)
 
 
@@ -102,8 +123,8 @@ class ExtractBatch:
 
         payloads = batch.column("html").to_pylist()
         texts: List[str] = []
-        # spans as flat columnar buffers (no per-char Python tuples)
-        span_cols: List[Optional[tuple]] = []
+        # per row: the glyph geometry the span column is resolved from
+        geometries: List[Optional[tuple]] = []
         statuses: List[str] = []
         errors: List[Optional[str]] = []
         kinds: List[str] = []
@@ -111,11 +132,11 @@ class ExtractBatch:
         for payload in payloads:
             payload = payload or b""
             kind = sniff_payload(payload)
-            text, spans, err = "", None, None
+            text, geometry, err = "", None, None
             try:
                 if kind == "pdf":
                     if self.with_spans:
-                        text, spans = extract_text_and_span_columns_from_mem(payload)
+                        text, geometry = extract_text_and_span_columns_from_mem(payload)
                     else:
                         text = extract_text_from_mem(payload)
                     status = "ok" if text else "empty"
@@ -127,19 +148,19 @@ class ExtractBatch:
                 else:
                     status = "skipped"
             except Exception as e:  # total UDF: error rows, never task death
-                text, spans = "", None
+                text, geometry = "", None
                 status = "error"
                 err = f"{type(e).__name__}: {e}"[:500]
             sizes.append(len(payload))
             kinds.append(kind)
             texts.append(text)
-            span_cols.append(spans)
+            geometries.append(geometry)
             statuses.append(status)
             errors.append(err)
         return pa.Table.from_arrays(
             [batch.column("url"),
              pa.array(texts, pa.string()),
-             _build_spans_array(span_cols),
+             _build_spans_array(geometries),
              pa.array(statuses, pa.string()),
              pa.array(errors, pa.string()),
              pa.array(kinds, pa.string()),

@@ -200,6 +200,114 @@ class TestFilters:
         assert decode_stream(s) == data
 
 
+def _lzw_encode_adaptive(data: bytes, clear_at: int = 4093) -> bytes:
+    """LZW encoder with growing code widths (PDF early change) that
+    emits a CLEAR code whenever its table reaches `clear_at` entries.
+    The width schedule mirrors the decoder's: the decoder adds an entry
+    for every code but the first after a clear, and widens once its
+    table length + 1 reaches 2**width."""
+    codes = []
+    state = {}
+
+    def reset():
+        state.update(table={bytes([i]): i for i in range(256)}, next=258,
+                     dec_len=258, first=True, width=9)
+
+    def emit(code):
+        codes.append((code, state["width"]))
+        if code == 256:
+            reset()
+            return
+        if state["first"]:
+            state["first"] = False
+        else:
+            state["dec_len"] += 1
+        if state["dec_len"] + 1 >= 1 << state["width"] and state["width"] < 12:
+            state["width"] += 1
+
+    reset()
+    emit(256)
+    w = b""
+    for ch in data:
+        wc = w + bytes([ch])
+        if wc in state["table"]:
+            w = wc
+            continue
+        emit(state["table"][w])
+        state["table"][wc] = state["next"]
+        state["next"] += 1
+        w = bytes([ch])
+        if state["next"] >= clear_at:
+            emit(256)
+    if w:
+        emit(state["table"][w])
+    emit(257)
+    acc = n = 0
+    out = bytearray()
+    for code, width in codes:
+        acc = (acc << width) | code
+        n += width
+        while n >= 8:
+            n -= 8
+            out.append((acc >> n) & 0xFF)
+            acc &= (1 << n) - 1
+    if n:
+        out.append((acc << (8 - n)) & 0xFF)
+    return bytes(out)
+
+
+class TestLzwDecode:
+    def decode(self, raw: bytes) -> bytes:
+        from pdf_extract_ray.engine.objects import Name
+        return decode_stream(Stream({b"Filter": Name(b"LZWDecode"),
+                                     b"Length": len(raw)}, raw))
+
+    def test_large_stream_decodes_in_linear_time(self):
+        """A ~300 KB stream (12-bit codes, a clear every ~4k codes) must
+        decode well inside the watchdog: the bit buffer is trimmed as
+        codes are read, so each code costs O(1), not O(input)."""
+        import random
+        import signal
+
+        rng = random.Random(4)
+        # pseudo-words: LZW finds repeats, the table fills and clears
+        words = [bytes(rng.randrange(97, 123) for _ in range(rng.randint(2, 9)))
+                 for _ in range(4000)]
+        data = b" ".join(rng.choice(words) for _ in range(60000))
+        raw = _lzw_encode_adaptive(data)
+        assert len(raw) > 250_000
+
+        def timeout(signum, frame):
+            raise TimeoutError("LZW decode took longer than 15 s")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(15)
+        out = None
+        try:
+            out = self.decode(raw)
+        except TimeoutError:
+            pass  # asserted below, outside the handler's traceback
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert out is not None, "LZW decode took longer than 15 s"
+        assert out == data
+
+    def test_back_to_back_streams_with_midstream_clears(self):
+        """Clears after the width grew past 9 bits restart from a fresh
+        initial table, in this stream and in the next one: entries added
+        before a clear (or by an earlier stream) must not leak."""
+        import random
+        rng = random.Random(7)
+        first = bytes(rng.randrange(256) for _ in range(3000))
+        second = b"abcabcabd" * 300 + first[:500]
+        for data in (first, second):
+            assert self.decode(_lzw_encode_adaptive(data, clear_at=700)) \
+                == data
+        # a clear right after the width reached 10 bits, twice in a row
+        assert self.decode(_lzw_encode_adaptive(first, clear_at=512)) == first
+
+
 def test_audio_features_plumbing(ray_session):
     import pyarrow as pa
     import ray

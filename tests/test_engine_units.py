@@ -5,7 +5,8 @@ import pytest
 
 from pdf_extract_ray.engine.cmap import get_byte_mapping, get_unicode_map_raw
 from pdf_extract_ray.engine.content import parse_content
-from pdf_extract_ray.engine.devices import PlainTextOutput
+from pdf_extract_ray.engine.devices import (PlainTextOutput, SpanTextOutput,
+                                            resolve_span_columns)
 from pdf_extract_ray.engine.interpreter import (IDENTITY, mul, translation,
                                                 transform_vector)
 from pdf_extract_ray.engine.lexer import Lexer
@@ -209,6 +210,86 @@ class TestSqrtNan:
         dev.output_character(trm, 0.5, 0.0, 1.0, "A")
         dev.end_word()
         assert dev.get_text() == "A"
+
+
+class TestSpanResolve:
+    """`resolve_span_columns` places glyphs in steps of SPAN_CHUNK glyphs,
+    over its own buffers for one document or a concatenation for several,
+    and the UDF groups rows into span chunks by the same budget.  None of
+    that may show in the result; and non-finite geometry must not raise
+    (the UDF resolves outside its per-row try)."""
+
+    def geometries(self):
+        from pdf_extract_ray.data.pdfgen import PDF_GENERATORS
+        from pdf_extract_ray.engine.api import (load_document, maybe_decrypt,
+                                                output_doc)
+        geoms = []
+        for name in sorted(PDF_GENERATORS):
+            doc = load_document(PDF_GENERATORS[name]())
+            maybe_decrypt(doc)
+            dev = SpanTextOutput()
+            output_doc(doc, dev)
+            geoms.append(dev.geometry())
+        return geoms
+
+    @staticmethod
+    def copy(geom):
+        import array
+
+        from pdf_extract_ray.engine.devices import SpanGeometry
+        return SpanGeometry(*(array.array(b.typecode, b) for b in geom))
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 64])
+    def test_steps_and_grouping_are_invisible(self, budget, monkeypatch):
+        import numpy as np
+
+        from pdf_extract_ray.engine import devices
+        geoms = self.geometries()
+        whole = resolve_span_columns([self.copy(g) for g in geoms])
+        assert len(whole[0]) == sum(len(g.t4) for g in geoms) > 100
+        monkeypatch.setattr(devices, "SPAN_CHUNK", budget)
+        stepped = resolve_span_columns([self.copy(g) for g in geoms])
+        # one document at a time, over its own buffers
+        alone = [np.concatenate(cols) for cols in zip(
+            *(resolve_span_columns([self.copy(g)]) for g in geoms))]
+        for a, b, c in zip(whole, stepped, alone):
+            assert a.dtype == b.dtype == c.dtype
+            assert repr(a.tolist()) == repr(b.tolist()) == repr(c.tolist())
+
+    def test_udf_span_chunks_are_invisible(self, monkeypatch):
+        from pdf_extract_ray.engine import devices
+        from pdf_extract_ray.pipelines.extract import _build_spans_array
+        geoms = self.geometries()
+        rows = [None] + [self.copy(g) for g in geoms[:8]] + [None] \
+            + [self.copy(g) for g in geoms[8:]]
+        one = _build_spans_array([g and self.copy(g) for g in rows])
+        assert one.num_chunks == 1
+        monkeypatch.setattr(devices, "SPAN_CHUNK", 7)
+        many = _build_spans_array(rows)
+        assert many.num_chunks > 5
+        assert repr(one.to_pylist()) == repr(many.to_pylist())
+        assert one.to_pylist()[0] is None and one.to_pylist()[9] is None
+
+    def test_non_finite_geometry_propagates_without_raising(self):
+        import numpy as np
+        inf, nan = float("inf"), float("nan")
+        trms = [(1.0, 0.0, 0.0, 1.0, inf, 5.0),
+                (inf, 0.0, 0.0, -inf, nan, 1.0),
+                (1.0, 0.0, 0.0, 1.0, -inf, inf)]
+        dev = SpanTextOutput()
+        dev.begin_page(1, (0.0, 0.0, 612.0, 792.0), None)
+        for trm in trms:
+            dev.begin_word()
+            dev.output_character(trm, 0.5, 0.0, 12.0, "x")
+            dev.end_word()
+        old = np.seterr(all="raise")
+        try:
+            spans = dev.spans
+        finally:
+            np.seterr(**old)
+        flip = (1.0, 0.0, 0.0, -1.0, 0.0, 792.0)
+        assert repr([(x, y) for (_p, _s, _e, x, y, _fs) in spans]) \
+            == repr([mul(trm, flip)[4:] for trm in trms])
 
 
 class TestFunctions:

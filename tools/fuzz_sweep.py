@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """Extended engine fuzz sweep: every pdfgen generator, random byte
-mutations + truncations + cross-document splices, through all three
-public extraction surfaces, with a per-input SIGALRM watchdog.
+mutations + truncations + cross-document splices, through three public
+extraction surfaces and the pipeline UDF (`ExtractBatch`, spans on),
+with a per-input SIGALRM watchdog.  The UDF must stay total: an
+exception escaping it counts as a hard crash.
 
 The engine must never hang or hard-crash on corrupt input (the pipeline
 UDF totalizes exceptions to error rows, but a hang stalls a whole
@@ -26,8 +28,26 @@ from pdf_extract_ray.engine.api import (extract_text_from_mem_by_pages,
                                         get_metadata)
 
 
-class Hang(Exception):
-    pass
+class Hang(BaseException):
+    """Raised by the watchdog; a BaseException, so no `except Exception`
+    in the engine or the UDF can turn a hang into an error row."""
+
+
+class Escaped(Exception):
+    """An exception got out of the pipeline UDF."""
+
+
+def extract_batch(data: bytes):
+    """One-row ExtractBatch call; the UDF turns every engine failure into
+    an error row, and resolves the batch's spans outside its per-row try."""
+    import pyarrow as pa
+
+    from pdf_extract_ray.pipelines.extract import ExtractBatch
+    try:
+        return ExtractBatch(with_spans=True)(pa.table(
+            {"url": ["fuzz"], "html": pa.array([data], pa.binary())}))
+    except Exception as e:
+        raise Escaped(f"{type(e).__name__}: {e}") from e
 
 
 def main() -> int:
@@ -48,7 +68,7 @@ def main() -> int:
     hangs = crashes = n = 0
     t_start = time.time()
     surfaces = [extract_text_from_mem, extract_text_from_mem_by_pages,
-                get_metadata]
+                get_metadata, extract_batch]
     while time.time() - t_start < budget:
         name, base = gens[rng.randrange(len(gens))]
         buf = bytearray(base)
@@ -64,7 +84,7 @@ def main() -> int:
             o = rng.randrange(max(1, len(other) - (b - a) or 1))
             buf[a:b] = other[o:o + (b - a)]
         data = bytes(buf)
-        fn = surfaces[rng.randrange(3)]
+        fn = surfaces[rng.randrange(len(surfaces))]
         n += 1
         try:
             signal.alarm(8)
@@ -75,7 +95,7 @@ def main() -> int:
             with open(path, "wb") as f:
                 f.write(data)
             print(f"HANG {name} via {fn.__name__} -> {path}")
-        except (RecursionError, MemoryError) as e:
+        except (RecursionError, MemoryError, Escaped) as e:
             crashes += 1
             path = f"/tmp/fuzz_crash_{crashes}.bin"
             with open(path, "wb") as f:
