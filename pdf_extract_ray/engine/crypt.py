@@ -11,7 +11,8 @@ import hashlib
 import struct
 from typing import Optional
 
-from .aes import aes_cbc_decrypt, aes_cbc_no_pad_decrypt
+from .aes import (aes_cbc_decrypt, aes_cbc_no_pad_decrypt,
+                  aes_cbc_no_pad_encrypt)
 from .objects import Name, PdfError, PdfString, Ref, Stream, maybe_deref
 
 PAD = bytes([
@@ -39,19 +40,11 @@ def rc4(key: bytes, data: bytes) -> bytes:
 
 def _hash_r6(password: bytes, salt: bytes, udata: bytes = b"") -> bytes:
     """ISO 32000-2 Algorithm 2.B hardened hash."""
-    from .aes import _expand_key, _encrypt_block
     k = hashlib.sha256(password + salt + udata).digest()
     i = 0
     while True:
-        k1 = (password + k + udata) * 64
-        w, nr = _expand_key(k[0:16])
-        prev = k[16:32]
-        e = bytearray()
-        for off in range(0, len(k1), 16):
-            block = bytes(p ^ v for p, v in zip(k1[off:off + 16], prev))
-            prev = _encrypt_block(w, nr, block)
-            e += prev
-        e = bytes(e)
+        e = aes_cbc_no_pad_encrypt(k[0:16], k[16:32],
+                                   (password + k + udata) * 64)
         mod = sum(e[:16]) % 3
         if mod == 0:
             k = hashlib.sha256(e).digest()

@@ -4,6 +4,21 @@ Shared by the document body parser (engine/document.py), the content-stream
 tokenizer (engine/content.py) and the CMap parser (engine/cmap.py).  The
 reference outsourced this layer to the lopdf crate; we rebuild it
 (SURVEY.md §7 step 1).
+
+Objects are read by a token scanner: `Lexer.parse_object` matches one
+compiled pattern per token (names, `N G R`, numbers, `<<`, `>>`, `[`,
+`]`, `true`/`false`/`null`, plain strings) and builds dicts and arrays
+on an explicit stack; `parse_indirect_object` frames `N G obj` and the
+`stream`/`endobj` keyword with one pattern each.  Fallback contract:
+whatever the patterns do not take -- a name with a `#` escape, a comment
+inside `N G R`, a key that is not a name, nesting past `_MAX_DEPTH`,
+any malformed input -- re-parses from the object's first byte on the
+byte-level path (`_parse_object_bytes`, `_parse_indirect_object_bytes`),
+so values, end positions and error texts are those of the byte-level
+parser, which the tests hold the scanner to (tools/lexer_diff.py).
+Every quantifier in those patterns must be possessive (`*+`, `++`): a
+backtracking comment or name can end early and let its tail be read as
+a token.
 """
 from __future__ import annotations
 
@@ -32,6 +47,34 @@ _IS_WS_OR_PCT[0x25] = 1  # '%' starts a comment (whitespace-equivalent)
 _REF_RE = re.compile(
     rb"(\d+)[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R"
     rb"(?![^\x00\t\n\x0c\r ()<>\[\]{}/%])")
+
+# Object-body tokens for Lexer.parse_object: one match per token, the
+# lastindex naming the kind.  Quantifiers stay possessive (see above).
+_REGULAR = rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]"
+_DELIMITED = rb"(?!" + _REGULAR + rb")"  # the token ends here
+_SEP = rb"(?:[\x00\t\n\x0c\r ]++|%[^\r\n]*+)"  # whitespace or a comment
+
+
+def _token_pattern(ref: bytes) -> "re.Pattern":
+    return re.compile(
+        _SEP + rb"*+(?:"
+        rb"/([^\x00\t\n\x0c\r ()<>\[\]{}/%#]*+)" + _DELIMITED  # 1 name
+        + rb"|" + ref                                        # 2, 3 N G R
+        + rb"|([+-]?+(?:\d++\.?+\d*+|\.\d++))" + _DELIMITED  # 4 number
+        + rb"|(<<)|(>>)|(\[)|(\])"                            # 5-8
+        + rb"|(true)" + _DELIMITED + rb"|(false)" + _DELIMITED  # 9, 10
+        + rb"|(null)" + _DELIMITED                            # 11
+        + rb"|\(([^()\\]*+)\)"          # 12 literal string, no escapes
+        + rb"|<((?:[0-9A-Fa-f]{2})*+)>"  # 13 hex string, whole bytes
+        + rb"|([(<]))")                  # 14 any other string
+
+
+_TOKEN_REF = _token_pattern(
+    rb"([+-]?+\d++)" + _SEP + rb"++(\d++)" + _SEP + rb"++R" + _DELIMITED)
+_TOKEN = _token_pattern(rb"(?!)()()")  # content streams: no references
+# containers nested deeper than this take the byte-level path (whose
+# recursion is the reference behaviour there)
+_MAX_DEPTH = 64
 
 _HEX = {}
 for _i, _c in enumerate(b"0123456789abcdef"):
@@ -87,7 +130,102 @@ class Lexer:
 
     def parse_object(self, allow_ref: bool = True):
         """Parse one object. `allow_ref=False` for content streams/CMaps
-        where `R` is not a thing and bare numbers stay numbers."""
+        where `R` is not a thing and bare numbers stay numbers.
+
+        One `_TOKEN`/`_TOKEN_REF` match per token; dicts and arrays are
+        built on an explicit stack.  Input the pattern does not take
+        (see the module docstring) re-parses from the object's first
+        byte on the byte-level path, `_parse_object_bytes`."""
+        buf, end = self.buf, self.end
+        start = self.pos
+        if start < end and buf[start] == 0x28:
+            # a content stream's string operand: no scanner to set up
+            return self._parse_literal_string()
+        pattern = _TOKEN_REF if allow_ref else _TOKEN
+        match = pattern.scanner(buf, start, end).match
+        stack = []
+        cur = None      # innermost open container
+        key = None      # key awaiting its value when cur is a dict
+        want_key = False
+        try:
+            while True:
+                m = match()
+                if m is None:
+                    break
+                g = m.lastindex
+                if g == 1:  # name
+                    if want_key:
+                        key = m.group(1)
+                        want_key = False
+                        continue
+                    val = Name(m.group(1))
+                elif want_key:  # only `>>` may stand where a key goes
+                    if g != 6:
+                        break
+                    val = cur
+                    cur, key = stack.pop()
+                    want_key = False
+                elif g == 3:  # N G R
+                    val = int(m.group(2))
+                    if val < 0:
+                        break
+                    val = Ref(val, int(m.group(3)))
+                elif g == 4:  # number
+                    val = m.group(4)
+                    val = f32(float(val)) if b"." in val else int(val)
+                elif g == 5 or g == 7:  # `<<` or `[`
+                    if len(stack) >= _MAX_DEPTH:
+                        break
+                    stack.append((cur, key))
+                    key = None
+                    if g == 5:
+                        cur = {}
+                        want_key = True
+                    else:
+                        cur = []
+                    continue
+                elif g == 8:  # `]`
+                    if type(cur) is not list:
+                        break
+                    val = cur
+                    cur, key = stack.pop()
+                elif g == 9:
+                    val = True
+                elif g == 10:
+                    val = False
+                elif g == 11:
+                    val = NULL
+                elif g == 12:
+                    val = PdfString(m.group(12))
+                elif g == 13:
+                    val = PdfString(bytes.fromhex(m.group(13).decode()))
+                elif g == 14:  # other strings: the byte-level readers,
+                    # then a new scanner from where they stopped
+                    self.pos = m.start(14)
+                    val = (self._parse_literal_string() if buf[self.pos] == 0x28
+                           else self._parse_hex_string())
+                    match = pattern.scanner(buf, self.pos, end).match
+                    if cur is None:
+                        return val
+                else:  # `>>` in a value position
+                    break
+                if key is not None:
+                    cur[key] = val
+                    key = None
+                    want_key = True
+                elif cur is None:
+                    self.pos = m.end()
+                    return val
+                else:
+                    cur.append(val)
+        except (PdfError, ValueError, OverflowError):
+            pass
+        self.pos = start
+        return self._parse_object_bytes(allow_ref)
+
+    def _parse_object_bytes(self, allow_ref: bool = True):
+        """The byte-level parse: the fallback of `parse_object`, and the
+        reference the scanner is tested against."""
         # skip_ws inlined (profiled: this is the hottest skip_ws call
         # site; typical separators are 0-2 plain ws bytes — loop those
         # here, defer %-comments to the regex path)
@@ -246,7 +384,7 @@ class Lexer:
         pos = self.pos + 1  # skip '['
         out = []
         append = out.append
-        parse = self.parse_object
+        parse = self._parse_object_bytes
         while True:
             while pos < end and _IS_WS[buf[pos]]:
                 pos += 1
@@ -268,7 +406,7 @@ class Lexer:
         buf, end = self.buf, self.end
         pos = self.pos + 2  # skip '<<'
         out = {}
-        parse = self.parse_object
+        parse = self._parse_object_bytes
         while True:
             while pos < end and _IS_WS[buf[pos]]:
                 pos += 1
@@ -362,13 +500,43 @@ def parse_number(tok: bytes):
         raise PdfError(f"bad number {tok!r}") from None
 
 
+_OBJ_HEADER = re.compile(_SEP + rb"*+(\d++)" + _SEP + rb"++(\d++)" + _SEP
+                         + rb"++obj" + _DELIMITED)
+_AFTER_BODY = re.compile(_SEP + rb"*+(?:(stream)|(endobj))" + _DELIMITED)
+_AFTER_STREAM = re.compile(_SEP + rb"*+endobj" + _DELIMITED)
+_SKIP = re.compile(_SEP + rb"*+")
+
+
 def parse_indirect_object(lx: Lexer, doc=None) -> Tuple[Tuple[int, int], object]:
     """Parse `num gen obj ... endobj` at the lexer position.
 
     Returns ((num, gen), object).  If the object is a stream, its /Length is
     resolved through `doc` when indirect; a missing/bogus Length falls back
-    to scanning for `endstream`.
+    to scanning for `endstream`.  A header the `_OBJ_HEADER` pattern does
+    not take runs the byte-level framing (`_parse_indirect_object_bytes`),
+    which raises the error texts.
     """
+    buf = lx.buf
+    head = _OBJ_HEADER.match(buf, lx.pos, lx.end)
+    if head is None:
+        return _parse_indirect_object_bytes(lx, doc)
+    lx.pos = head.end()
+    obj = lx.parse_object()
+    m = _AFTER_BODY.match(buf, lx.pos, lx.end)
+    if m is not None and m.lastindex == 1:
+        lx.pos = m.end()
+        obj = _read_stream(lx, obj, doc)
+        m = _AFTER_STREAM.match(buf, lx.pos, lx.end)
+    if m is not None:
+        lx.pos = m.end()
+    else:  # tolerate a missing endobj: stop before the following token
+        lx.skip_ws()
+    return (int(head.group(1)), int(head.group(2))), obj
+
+
+def _parse_indirect_object_bytes(lx: Lexer, doc=None):
+    """Token-by-token framing: the fallback of `parse_indirect_object`
+    and the reference it is tested against."""
     lx.skip_ws()
     num_tok = lx.read_regular_token()
     lx.skip_ws()
@@ -376,49 +544,12 @@ def parse_indirect_object(lx: Lexer, doc=None) -> Tuple[Tuple[int, int], object]
     lx.expect_keyword(b"obj")
     if not num_tok.isdigit() or not gen_tok.isdigit():
         raise PdfError(f"bad object header {num_tok!r} {gen_tok!r}")
-    obj = lx.parse_object()
+    obj = lx._parse_object_bytes()
     lx.skip_ws()
     save = lx.pos
     kw = lx.read_regular_token()
     if kw == b"stream":
-        if not isinstance(obj, dict):
-            raise PdfError("stream without dict")
-        # EOL after `stream`: CRLF or LF
-        if lx.peek() == 0x0D:
-            lx.pos += 1
-        if lx.peek() == 0x0A:
-            lx.pos += 1
-        start = lx.pos
-        length = obj.get(b"Length")
-        data = None
-        if isinstance(length, Ref) and doc is not None:
-            try:
-                length = doc.get_object(length)
-            except Exception:
-                length = None
-        if isinstance(length, int) and 0 <= length <= lx.end - start:
-            candidate = lx.buf[start:start + length]
-            # validate that `endstream` actually follows
-            probe = Lexer(lx.buf, start + length, lx.end)
-            probe.skip_ws()
-            if probe.buf[probe.pos:probe.pos + 9] == b"endstream":
-                data = candidate
-                lx.pos = probe.pos + 9
-        if data is None:  # scan for endstream
-            idx = lx.buf.find(b"endstream", start, lx.end)
-            if idx < 0:
-                raise PdfError("unterminated stream")
-            raw_end = idx
-            # strip the single EOL that precedes endstream, if present
-            if raw_end > start and lx.buf[raw_end - 1] == 0x0A:
-                raw_end -= 1
-                if raw_end > start and lx.buf[raw_end - 1] == 0x0D:
-                    raw_end -= 1
-            elif raw_end > start and lx.buf[raw_end - 1] == 0x0D:
-                raw_end -= 1
-            data = lx.buf[start:raw_end]
-            lx.pos = idx + 9
-        obj = Stream(obj, bytes(data))
+        obj = _read_stream(lx, obj, doc)
         lx.skip_ws()
         save = lx.pos
         kw = lx.read_regular_token()
@@ -426,3 +557,43 @@ def parse_indirect_object(lx: Lexer, doc=None) -> Tuple[Tuple[int, int], object]
         # tolerate missing endobj; rewind so caller sees following bytes
         lx.pos = save
     return (int(num_tok), int(gen_tok)), obj
+
+
+def _read_stream(lx: Lexer, obj, doc) -> Stream:
+    """The stream payload after the `stream` keyword; leaves the lexer
+    just past `endstream`."""
+    if not isinstance(obj, dict):
+        raise PdfError("stream without dict")
+    buf, end = lx.buf, lx.end
+    # EOL after `stream`: CRLF or LF
+    if lx.peek() == 0x0D:
+        lx.pos += 1
+    if lx.peek() == 0x0A:
+        lx.pos += 1
+    start = lx.pos
+    length = obj.get(b"Length")
+    if isinstance(length, Ref) and doc is not None:
+        try:
+            length = doc.get_object(length)
+        except Exception:
+            length = None
+    if isinstance(length, int) and 0 <= length <= end - start:
+        # validate that `endstream` actually follows
+        p = _SKIP.match(buf, start + length, end).end()
+        if buf[p:p + 9] == b"endstream":
+            lx.pos = p + 9
+            return Stream(obj, bytes(buf[start:start + length]))
+    # scan for endstream
+    idx = buf.find(b"endstream", start, end)
+    if idx < 0:
+        raise PdfError("unterminated stream")
+    raw_end = idx
+    # strip the single EOL that precedes endstream, if present
+    if raw_end > start and buf[raw_end - 1] == 0x0A:
+        raw_end -= 1
+        if raw_end > start and buf[raw_end - 1] == 0x0D:
+            raw_end -= 1
+    elif raw_end > start and buf[raw_end - 1] == 0x0D:
+        raw_end -= 1
+    lx.pos = idx + 9
+    return Stream(obj, bytes(buf[start:raw_end]))

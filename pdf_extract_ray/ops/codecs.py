@@ -90,9 +90,9 @@ def _png_defilter(raw: bytes, pos: int, height: int, stride: int,
             pass
         elif ftype == 2:  # Up
             line += prev
-        elif ftype == 1:  # Sub
-            for i in range(bpp, stride):
-                line[i] = (int(line[i]) + int(line[i - bpp])) & 0xFF
+        elif ftype == 1:  # Sub: a running sum mod 256 in each byte lane
+            line = np.cumsum(line.reshape(-1, bpp), axis=0,
+                             dtype=np.uint8).reshape(-1)
         elif ftype == 3:  # Average
             for i in range(stride):
                 left = int(line[i - bpp]) if i >= bpp else 0
@@ -161,7 +161,7 @@ def _decode_png(data: bytes) -> np.ndarray:
         dims.append((wp, hp))
         if wp > 0 and hp > 0:
             need += hp * (wp * bpp + 1)
-    if need > (1 << 28):
+    if need > (1 << 26):
         raise ValueError("implausible PNG dimensions")
     # decompress AT MOST what the raster needs: a crafted deflate bomb
     # must not expand unbounded (found by tools/media_fuzz.py hardening)

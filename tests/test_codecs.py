@@ -1,6 +1,9 @@
 """Pure-stdlib media codecs (ops/codecs.py) + real-decode multimodal
 stages.  Roundtrips are exact: encoder and decoder are independent code
 paths over the published formats."""
+import struct
+import zlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -8,6 +11,48 @@ import pytest
 from pdf_extract_ray.ops.codecs import (decode_bmp, decode_png, decode_wav,
                                         encode_bmp, encode_png, encode_wav,
                                         sniff_media)
+
+
+def _filter_rows(rows, bpp):
+    """PNG-filter a (h, stride) uint8 raster, cycling filter types 0-4
+    over the scanlines -> the uncompressed IDAT payload."""
+    prev = np.zeros(rows.shape[1], dtype=np.int64)
+    out = b""
+    for y, raw in enumerate(rows):
+        line = raw.astype(np.int64)
+        f = y % 5
+        enc = np.zeros_like(line)
+        for i in range(len(line)):
+            left = line[i - bpp] if i >= bpp else 0
+            up = prev[i]
+            ul = prev[i - bpp] if i >= bpp else 0
+            if f == 0:
+                pred = 0
+            elif f == 1:
+                pred = left
+            elif f == 2:
+                pred = up
+            elif f == 3:
+                pred = (left + up) >> 1
+            else:
+                p = left + up - ul
+                d = (abs(p - left), abs(p - up), abs(p - ul))
+                pred = (left if d[0] <= d[1] and d[0] <= d[2]
+                        else (up if d[1] <= d[2] else ul))
+            enc[i] = (line[i] - pred) & 0xFF
+        out += bytes([f]) + bytes(enc.astype(np.uint8))
+        prev = line
+    return out
+
+
+def _png(ihdr: bytes, raw: bytes) -> bytes:
+    def chunk(ct, payload):
+        crc = zlib.crc32(ct + payload) & 0xFFFFFFFF
+        return (struct.pack(">I", len(payload)) + ct + payload
+                + struct.pack(">I", crc))
+
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
 
 
 def _img(shape, seed=3):
@@ -24,47 +69,30 @@ class TestCodecs:
             assert (back == img).all()
 
     def test_png_filtered_scanlines(self):
-        # decoder must handle Sub/Up/Average/Paeth, not just filter 0
-        import struct
-        import zlib
-        img = _img((8, 6, 3))
-        h, w, c = img.shape
-        prev = np.zeros(w * c, dtype=np.int64)
-        out = b""
-        for y in range(h):
-            line = img[y].reshape(-1).astype(np.int64)
-            f = [0, 1, 2, 3, 4][y % 5]
-            enc = np.zeros_like(line)
-            for i in range(len(line)):
-                left = line[i - c] if i >= c else 0
-                up = prev[i]
-                ul = prev[i - c] if i >= c else 0
-                if f == 0:
-                    pred = 0
-                elif f == 1:
-                    pred = left
-                elif f == 2:
-                    pred = up
-                elif f == 3:
-                    pred = (left + up) >> 1
-                else:
-                    p = left + up - ul
-                    d = (abs(p - left), abs(p - up), abs(p - ul))
-                    pred = (left if d[0] <= d[1] and d[0] <= d[2]
-                            else (up if d[1] <= d[2] else ul))
-                enc[i] = (line[i] - pred) & 0xFF
-            out += bytes([f]) + bytes(enc.astype(np.uint8))
-            prev = line
+        # decoder must handle Sub/Up/Average/Paeth, not just filter 0, at
+        # every left-neighbour distance: 1 (gray), 3 (RGB), 4 (RGBA) and
+        # 6 bytes (16-bit RGB, decoded to its high bytes)
+        for shape, depth in [((8, 6, 3), 8), ((7, 9, 1), 8), ((6, 5, 4), 8),
+                             ((5, 40, 3), 8), ((6, 7, 3), 16)]:
+            h, w, c = shape
+            rs = np.random.RandomState(h * w + c + depth)
+            dtype = ">u2" if depth == 16 else np.uint8
+            samples = rs.randint(0, 1 << depth, size=shape).astype(dtype)
+            rows = samples.reshape(h, -1).view(np.uint8)
+            ihdr = struct.pack(">IIBBBBB", w, h, depth,
+                               {1: 0, 3: 2, 4: 6}[c], 0, 0, 0)
+            data = _png(ihdr, _filter_rows(rows, c * depth // 8))
+            want = (samples >> 8).astype(np.uint8) if depth == 16 else samples
+            assert (decode_png(data) == want).all(), (shape, depth)
 
-        def chunk(ct, payload):
-            crc = zlib.crc32(ct + payload) & 0xFFFFFFFF
-            return (struct.pack(">I", len(payload)) + ct + payload
-                    + struct.pack(">I", crc))
-
-        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-        data = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-                + chunk(b"IDAT", zlib.compress(out)) + chunk(b"IEND", b""))
-        assert (decode_png(data) == img).all()
+    def test_png_raster_cap(self):
+        # a header whose raster is just over 1 << 26 bytes is refused
+        # before any inflate
+        w = 4096
+        h = (1 << 26) // (w * 4 + 1) + 1
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, 6, 0, 0, 0)
+        with pytest.raises(ValueError, match="implausible PNG dimensions"):
+            decode_png(_png(ihdr, b"\x00" * (w * 4 + 1)))
 
     def test_bmp_roundtrip_with_padding(self):
         img = _img((6, 5, 3))  # 5*3=15 bytes/row -> 1 pad byte

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Extended engine fuzz sweep: every pdfgen generator, random byte
 mutations + truncations + cross-document splices, through three public
-extraction surfaces and the pipeline UDF (`ExtractBatch`, spans on),
-with a per-input SIGALRM watchdog.  The UDF must stay total: an
-exception escaping it counts as a hard crash.
+extraction surfaces, the pipeline UDF (`ExtractBatch`, spans on) and
+the object lexer's differential check, with a per-input SIGALRM
+watchdog.  The UDF must stay total: an exception escaping it counts as
+a hard crash.  So does a mutated object body or framing on which the
+token scanner and the byte-level parser disagree (tools/lexer_diff.py).
 
 The engine must never hang or hard-crash on corrupt input (the pipeline
 UDF totalizes exceptions to error rows, but a hang stalls a whole
@@ -22,6 +24,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+import lexer_diff  # tools/lexer_diff.py, next to this script
 import pdf_extract_ray.data.pdfgen as g
 from pdf_extract_ray.engine import extract_text_from_mem
 from pdf_extract_ray.engine.api import (extract_text_from_mem_by_pages,
@@ -37,6 +40,10 @@ class Escaped(Exception):
     """An exception got out of the pipeline UDF."""
 
 
+class Diverged(Exception):
+    """The object scanner and the byte-level parser disagreed."""
+
+
 def extract_batch(data: bytes):
     """One-row ExtractBatch call; the UDF turns every engine failure into
     an error row, and resolves the batch's spans outside its per-row try."""
@@ -48,6 +55,18 @@ def extract_batch(data: bytes):
             {"url": ["fuzz"], "html": pa.array([data], pa.binary())}))
     except Exception as e:
         raise Escaped(f"{type(e).__name__}: {e}") from e
+
+
+def lexer_differential(data: bytes):
+    """Every `N G obj` of the input (up to 64): its framing and its body
+    through the scanner and the byte-level parser."""
+    for i, m in enumerate(lexer_diff._HEADER.finditer(data)):
+        if i == 64:
+            break
+        diff = (lexer_diff.frame_divergence(data, m.start(), lexer_diff.Lengths())
+                or lexer_diff.body_divergence(data, m.end()))
+        if diff:
+            raise Diverged(f"at {m.start()}: {diff!r:.300}")
 
 
 def main() -> int:
@@ -66,9 +85,10 @@ def main() -> int:
     signal.signal(signal.SIGALRM, lambda s, f: (_ for _ in ()).throw(Hang()))
     rng = random.Random(seed)
     hangs = crashes = n = 0
+    per_surface = {}
     t_start = time.time()
     surfaces = [extract_text_from_mem, extract_text_from_mem_by_pages,
-                get_metadata, extract_batch]
+                get_metadata, extract_batch, lexer_differential]
     while time.time() - t_start < budget:
         name, base = gens[rng.randrange(len(gens))]
         buf = bytearray(base)
@@ -86,6 +106,7 @@ def main() -> int:
         data = bytes(buf)
         fn = surfaces[rng.randrange(len(surfaces))]
         n += 1
+        per_surface[fn.__name__] = per_surface.get(fn.__name__, 0) + 1
         try:
             signal.alarm(8)
             fn(data)
@@ -95,7 +116,7 @@ def main() -> int:
             with open(path, "wb") as f:
                 f.write(data)
             print(f"HANG {name} via {fn.__name__} -> {path}")
-        except (RecursionError, MemoryError, Escaped) as e:
+        except (RecursionError, MemoryError, Escaped, Diverged) as e:
             crashes += 1
             path = f"/tmp/fuzz_crash_{crashes}.bin"
             with open(path, "wb") as f:
@@ -105,7 +126,8 @@ def main() -> int:
             pass  # orderly failure: exactly what the pipeline totalizes
         finally:
             signal.alarm(0)
-    print(f"done: {n} inputs, hangs={hangs}, hard-crashes={crashes}")
+    print(f"done: {n} inputs {per_surface}, hangs={hangs}, "
+          f"hard-crashes={crashes}")
     return 1 if (hangs or crashes) else 0
 
 
