@@ -14,6 +14,10 @@ and devices that override only `output_character` see.
 in flat buffers (`SpanGeometry`); `resolve_span_columns` turns one or
 many of them into the (page, start, end, x, y, font_size) span columns
 in numpy.
+
+A single-char run: when `glyphs` is a `fonts.GlyphRun` (every glyph
+decodes to one char), these two devices take its `text` and never read
+the glyphs but the last one's width; the run's char lengths are all 1.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .fonts import Glyph
+from .fonts import Glyph, GlyphRun
 from .interpreter import Transform, mul, transform_vector, translation
 
 _glyph_char = itemgetter(1)
@@ -63,7 +67,9 @@ class OutputDev:
         `(width / 1000, char, is_word_space)` of `glyphs[i]`; and the
         advance spacing `spacing[1]` if it is a word space, else
         `spacing[0]`.  Everything but t4s/t5s/glyphs is shared by the
-        whole run."""
+        whole run.  t4s, t5s and glyphs are sequences of the same
+        length; glyphs may be a `GlyphRun`, which also carries the
+        run's text."""
         a, b, c, d = linear_part
         r4, r5 = rise
         c0, c1, c2, c3, c4, c5 = ctm
@@ -139,7 +145,8 @@ class PlainTextOutput(OutputDev):
                    spacing) -> None:
         _tfs, sep = self._place_run(linear_part, font_size, rise, ctm, t4s,
                                     t5s, glyphs)
-        self.parts.append(sep + "".join(map(_glyph_char, glyphs)))
+        self.parts.append(sep + (glyphs.text if type(glyphs) is GlyphRun
+                                 else "".join(map(_glyph_char, glyphs))))
 
     def _place_run(self, linear_part, font_size, rise, ctm, t4s, t5s,
                    glyphs) -> Tuple[float, str]:
@@ -233,12 +240,19 @@ class SpanTextOutput(PlainTextOutput):
 
     def output_run(self, linear_part, font_size, rise, ctm, t4s, t5s, glyphs,
                    spacing) -> None:
-        # t4s and t5s are lists (show_text builds them), so `fromlist`
-        # copies them without the iterator protocol
+        # show_text builds t4s as a list, so `fromlist` copies it without
+        # the iterator protocol; t5s is a list or an array('d')
         tfs, sep = self._place_run(linear_part, font_size, rise, ctm, t4s,
                                    t5s, glyphs)
-        chars = list(map(_glyph_char, glyphs))
-        text = "".join(chars)
+        if type(glyphs) is GlyphRun:
+            text = glyphs.text
+            n = len(text)
+            one_char = True
+        else:
+            chars = list(map(_glyph_char, glyphs))
+            text = "".join(chars)
+            n = len(chars)
+            one_char = len(text) == n and "" not in chars
         self.parts.append(sep + text)
         start = self._len + len(sep)
         self._len = start + len(text)
@@ -246,9 +260,8 @@ class SpanTextOutput(PlainTextOutput):
             raise OverflowError("span offsets exceed int32")
         geom = self._geometry
         geom.t4.fromlist(t4s)
-        geom.t5.fromlist(t5s)
-        n = len(chars)
-        if len(text) == n and "" not in chars:
+        geom.t5.extend(t5s)
+        if one_char:
             geom.char_len.extend(_ONE * n)  # one char per glyph
         else:
             geom.char_len.fromlist(list(map(len, chars)))

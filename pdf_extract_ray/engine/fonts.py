@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from codecs import charmap_decode
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tables.core_fonts import CORE_FONT_METRICS
@@ -37,6 +38,33 @@ log = logging.getLogger(__name__)
 
 # (width / 1000, decoded char, is_word_space): one shown glyph
 Glyph = Tuple[float, str, bool]
+
+# a code charmap_decode treats as undefined (U+FFFE is a noncharacter)
+_UNDEFINED = "\ufffe"
+
+
+class GlyphRun:
+    """The glyphs of a 1-byte font's text string whose every code
+    decodes to one char (`PdfFont.glyph_run`): a sequence of `Glyph`,
+    each looked up in the font's glyph table only when read, and `text`,
+    the glyphs' chars joined."""
+
+    __slots__ = ("text", "_codes", "_table")
+
+    def __init__(self, text: str, codes: bytes, table: Dict[int, Glyph]):
+        self.text = text
+        self._codes = codes
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i: int) -> Glyph:
+        return self._table[self._codes[i]]
+
+    def __iter__(self) -> Iterator[Glyph]:
+        return map(self._table.__getitem__, self._codes)
+
 
 # key of a per-font advance table: the bits of (horizontal scaling, font
 # size, char spacing, word-space spacing), so -0.0 and 0.0 never share one
@@ -190,6 +218,12 @@ class PdfFont:
                  code == 32 and length == 1)
                 for code, length in self.char_codes(data)]
 
+    def glyph_run(self, data: bytes) -> Optional[GlyphRun]:
+        """-> `data`'s glyphs as a GlyphRun when the font knows, without
+        looking them up, that each decodes to one char; else None, and
+        `glyphs(data)` gives them."""
+        return None
+
     def advances(self, data: bytes, glyphs: List[Glyph], h: float,
                  font_size: float, char_spacing: float,
                  space_spacing: float) -> List[float]:
@@ -213,6 +247,13 @@ class _Simple256Font(PdfFont):
     unicode_map: Optional[Dict[int, str]]
     widths: Dict[int, float]
     _glyph_table: Optional[Dict[int, Glyph]] = None
+    # the glyph table's chars by code, set with it; _UNDEFINED for codes
+    # not in it yet and for codes that decode to no char or to several
+    _chars: List[str]
+    # "".join(_chars), the table `glyph_run` decodes with; None until a
+    # string shows only codes the glyph table has, and again from the
+    # next code added to it until such a string comes by
+    _charmap: Optional[str] = None
     # advance key -> {code: advance}, filled from the glyph table
     _advance_tables: Optional[Dict[bytes, Dict[int, float]]] = None
 
@@ -242,15 +283,38 @@ class _Simple256Font(PdfFont):
         table = self._glyph_table
         if table is None:
             table = self._glyph_table = {}
+            self._chars = [_UNDEFINED] * 256
         try:
-            return list(map(table.__getitem__, data))
+            glyphs = list(map(table.__getitem__, data))
         except KeyError:
             pass
+        else:
+            # the table has settled enough to show a whole string: the
+            # strings after it are worth decoding in one call
+            if self._charmap is None:
+                self._charmap = "".join(self._chars)
+            return glyphs
+        self._charmap = None
         for code in data:
             if code not in table:
-                table[code] = (self.get_width(code) / 1000.0,
-                               self.decode_char(code), code == 32)
+                glyph = table[code] = (self.get_width(code) / 1000.0,
+                                       self.decode_char(code), code == 32)
+                if len(glyph[1]) == 1:
+                    self._chars[code] = glyph[1]
         return list(map(table.__getitem__, data))
+
+    def glyph_run(self, data):
+        # one C call decodes the string, and fails on a code the glyph
+        # table does not have yet or that is not one char (`glyphs` then
+        # adds it or gives its glyphs)
+        charmap = self._charmap
+        if charmap is None or not data:
+            return None
+        try:
+            text = charmap_decode(data, "strict", charmap)[0]
+        except UnicodeDecodeError:
+            return None
+        return GlyphRun(text, data, self._glyph_table)
 
     def advances(self, data, glyphs, h, font_size, char_spacing,
                  space_spacing):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import operator
+from array import array
 from itertools import accumulate, repeat
 from math import isfinite
 from typing import List, Optional, Tuple
@@ -121,13 +122,20 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
     terms of tsm = (h, 0, 0, 1, 0, rise) and of the advance translation:
     a zero product term only ever changes the sign of a zero, which no
     downstream comparison can observe.
+
+    `glyphs` is a `fonts.GlyphRun` when the font decodes the string in
+    one call, one char per glyph (`PdfFont.glyph_run`), else the list
+    `PdfFont.glyphs` builds; t4s is a list, and t5s is a list or, when
+    every glyph shares tm's t5, an `array('d')`.
     """
     ts = gs.ts
     font = ts.font
     if font is None:
         raise PdfError("show text with no font set")
     output.begin_word()
-    glyphs = font.glyphs(s)
+    glyphs = font.glyph_run(s)
+    if glyphs is None:
+        glyphs = font.glyphs(s)
     t0, t1, t2, t3, t4, t5 = ts.tm
     if glyphs:
         ctm = gs.ctm
@@ -146,7 +154,7 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
         t4 = t4s.pop()
         if t1 == 0.0 and t5 != 0.0 and isfinite(sum(txs)):
             # every tx * t1 is a zero, and t5 + (+-0.0) == t5
-            t5s = [t5] * len(glyphs)
+            t5s = array("d", (t5,)) * len(txs)
         else:
             t5s = list(accumulate(map(operator.mul, txs, repeat(t1)),
                                    initial=t5))

@@ -2,10 +2,11 @@
 """Extended engine fuzz sweep: every pdfgen generator, random byte
 mutations + truncations + cross-document splices, through three public
 extraction surfaces, the pipeline UDF (`ExtractBatch`, spans on) and
-the object lexer's differential check, with a per-input SIGALRM
-watchdog.  The UDF must stay total: an exception escaping it counts as
-a hard crash.  So does a mutated object body or framing on which the
-token scanner and the byte-level parser disagree (tools/lexer_diff.py).
+the differential checks of the object lexer and the content-stream
+tokenizer, with a per-input SIGALRM watchdog.  The UDF must stay total:
+an exception escaping it counts as a hard crash.  So does a mutated
+object body, framing or content stream on which a token scanner and its
+byte-level parser disagree (tools/lexer_diff.py).
 
 The engine must never hang or hard-crash on corrupt input (the pipeline
 UDF totalizes exceptions to error rows, but a hang stalls a whole
@@ -41,7 +42,7 @@ class Escaped(Exception):
 
 
 class Diverged(Exception):
-    """The object scanner and the byte-level parser disagreed."""
+    """A token scanner and its byte-level parser disagreed."""
 
 
 def extract_batch(data: bytes):
@@ -69,6 +70,29 @@ def lexer_differential(data: bytes):
             raise Diverged(f"at {m.start()}: {diff!r:.300}")
 
 
+def content_differential(data: bytes):
+    """The input itself as a content stream (PDF syntax, binary and
+    damage mixed), then each page content stream the document yields
+    (up to 16), through the content scanner and the byte loop."""
+    from pdf_extract_ray.engine.document import load_document
+    streams = [data]
+    try:
+        doc = load_document(data)
+        if doc.is_encrypted():
+            doc.decrypt("")
+        for i, ref in enumerate(doc.get_pages().values()):
+            if i == 16:
+                break
+            streams.append(doc.get_page_content(ref))
+    except Exception:  # a document that does not load: the input alone
+        pass
+    for buf in streams:
+        diff = lexer_diff.content_divergence(buf)
+        if diff:
+            raise Diverged(f"content stream of {len(buf)} bytes: "
+                           f"{diff!r:.300}")
+
+
 def main() -> int:
     budget = int(sys.argv[1]) if len(sys.argv) > 1 else 420
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20260817
@@ -88,7 +112,8 @@ def main() -> int:
     per_surface = {}
     t_start = time.time()
     surfaces = [extract_text_from_mem, extract_text_from_mem_by_pages,
-                get_metadata, extract_batch, lexer_differential]
+                get_metadata, extract_batch, lexer_differential,
+                content_differential]
     while time.time() - t_start < budget:
         name, base = gens[rng.randrange(len(gens))]
         buf = bytearray(base)

@@ -1,15 +1,20 @@
 #!/usr/bin/env python
-"""Differential check of the object scanner against the byte-level parser.
+"""Differential check of the token scanners against the byte-level parsers.
 
 `Lexer.parse_object` (one token-pattern match per token) must agree with
 `Lexer._parse_object_bytes`, and `parse_indirect_object` with
 `_parse_indirect_object_bytes`, on every input: same value (types and
 reprs, recursively), same `lx.pos`, same exception type and message.
+Likewise the content-stream scanner `content.parse_content` with the
+byte loop `content._parse_content_bytes`: same operator names, same
+operand values and types, same exception type and message.
 This module holds the corpus (every object body of the pdfgen fixtures,
-object-stream members included, and framed streams whose /Length is
-direct, indirect or bogus), the seeded mutations and the comparison.
-tests/test_lexer_scanner.py and tools/fuzz_sweep.py use it; from the
-command line it sweeps N mutated bodies and N mutated framings:
+object-stream members included, framed streams whose /Length is
+direct, indirect or bogus, and every page content stream), the seeded
+mutations and the comparison.  tests/test_lexer_scanner.py,
+tests/test_content_scanner.py and tools/fuzz_sweep.py use it; from the
+command line it sweeps N mutated bodies, N mutated framings and N
+mutated content streams:
 
     python tools/lexer_diff.py [n=100000] [seed=1]
 
@@ -23,6 +28,9 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from pdf_extract_ray.engine import content
+from pdf_extract_ray.engine.content import (_parse_content_bytes,
+                                            parse_content)
 from pdf_extract_ray.engine.lexer import (Lexer, _parse_indirect_object_bytes,
                                           parse_indirect_object)
 from pdf_extract_ray.engine.objects import (Name, PdfError, PdfNull,
@@ -35,6 +43,18 @@ _BODY_END = re.compile(rb"endobj|stream")
 _INSERTS = (b"#", b"%", b"(", b"\\", b"R", b">>", b"<<", b"[", b"]", b"/",
             b" ", b"\n", b"\r", b"0", b"-", b".", b"%x\n", b"#4", b"obj",
             b"endobj", b"stream", b"endstream", b"<", b">", b")", b"e")
+# and in content streams: what sends a token to the byte loop (escapes,
+# nested parens, `#` names, inline images, property lists, nested
+# arrays, stray delimiters, bad numbers, odd-nibble hex, empty tokens)
+# and the operand shapes the scanner takes itself
+_CONTENT_INSERTS = _INSERTS + (
+    b"\\(", b"\\n", b"\\053", b"(a(b)c)", b"(x\\)y)", b"/A#20B",
+    b" BI /W 2 /H 1 /CS /G /BPC 8 ID \x00EI\n EI ", b" BI /F /AHx ID 0a> EI ",
+    b" ID ", b" EI ", b"<< /MCID 3 >> BDC ", b"/P <</K [1 2]>> BDC",
+    b"[1 [2 (x)] /N]", b"[(a) -250 (b)]", b"[", b"]", b"}", b"{", b"1.2.3",
+    b"--5", b"+", b"+.5", b"-3.", b"7", b"<4>", b"<414>", b"<41 42>", b"()",
+    b"<>", b"/ ", b"true", b"null", b"falsey", b"Tj", b" TJ ", b"%c\r",
+    b"1" * 700, b"1e50", b"3" * 50 + b".0")
 
 
 def canon(v):
@@ -61,6 +81,25 @@ def _outcome(fn, lx):
     except Exception as e:  # the outcome being compared
         return ("raised", type(e).__name__, str(e), lx.pos)
     return ("ok", canon(v), lx.pos)
+
+
+def content_outcome(fn, buf: bytes):
+    """A content parser's result, as operator names and canonical
+    operands, or the exception it raised."""
+    try:
+        ops = fn(buf)
+    except Exception as e:  # the outcome being compared
+        return ("raised", type(e).__name__, str(e))
+    return ("ok", [(type(op).__name__, op, [canon(x) for x in operands])
+                   for op, operands in ops])
+
+
+def content_divergence(buf: bytes):
+    """None if the content scanner and the byte loop agree on `buf`,
+    else (scanner outcome, byte-loop outcome)."""
+    fast = content_outcome(parse_content, buf)
+    ref = content_outcome(_parse_content_bytes, buf)
+    return None if fast == ref else (fast, ref)
 
 
 def body_divergence(buf: bytes, pos: int = 0):
@@ -154,6 +193,27 @@ def fixture_framings():
     return out
 
 
+def fixture_content_streams():
+    """Every page content stream of every pdfgen fixture that loads
+    (encrypted ones with the empty password)."""
+    from pdf_extract_ray.engine.document import load_document
+    out = []
+    for buf in fixture_pdfs():
+        try:
+            doc = load_document(buf)
+            if doc.is_encrypted():
+                doc.decrypt("")
+            pages = doc.get_pages()
+        except Exception:  # damaged fixtures
+            continue
+        for ref in pages.values():
+            try:
+                out.append(doc.get_page_content(ref))
+            except Exception:
+                pass
+    return out
+
+
 def framed_streams(rng: random.Random):
     """Streams whose /Length is right, short, long, negative, indirect
     (resolving right, wrong, or not at all), missing or not a number."""
@@ -173,19 +233,45 @@ def framed_streams(rng: random.Random):
     return (b"7 0 obj\n" + body + b"\nstream" + eol + payload + tail, doc)
 
 
-def mutate(rng: random.Random, data: bytes) -> bytes:
-    """Insert delimiter bytes, flip a byte, or truncate."""
+def mutate(rng: random.Random, data: bytes, inserts=_INSERTS) -> bytes:
+    """Insert one of `inserts`, flip a byte, or truncate."""
     buf = bytearray(data)
     for _ in range(rng.randint(1, 3)):
         r = rng.random()
         if r < 0.7 or not buf:
             i = rng.randrange(len(buf) + 1)
-            buf[i:i] = rng.choice(_INSERTS)
+            buf[i:i] = rng.choice(inserts)
         elif r < 0.85:
             buf[rng.randrange(len(buf))] = rng.randrange(256)
         else:
             del buf[rng.randrange(len(buf)):]
     return bytes(buf)
+
+
+def content_sweep(n: int, seed: int):
+    """n mutated page content streams -> the ones the scanners disagree
+    on.  One in eight joins up to 150 fixture streams and scans them
+    in windows (`content._WINDOW`) of 1 byte to 4 KB, so that window
+    ends fall next to and inside every kind of token."""
+    rng = random.Random(seed)
+    streams = fixture_content_streams()
+    window = content._WINDOW
+    bad = []
+    try:
+        for _ in range(n):
+            if rng.random() < 0.125:
+                buf = b"\n".join(rng.choice(streams)
+                                 for _ in range(rng.randint(2, 150)))
+                content._WINDOW = rng.randint(1, 4096)
+            else:
+                buf = rng.choice(streams)
+                content._WINDOW = window
+            buf = mutate(rng, buf, _CONTENT_INSERTS)
+            if content_divergence(buf) is not None:
+                bad.append(buf)
+    finally:
+        content._WINDOW = window
+    return bad
 
 
 def sweep(n: int, seed: int):
@@ -213,10 +299,10 @@ def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 100000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     t0 = time.time()
-    bad = sweep(n, seed)
+    bad = sweep(n, seed) + [("content", b) for b in content_sweep(n, seed)]
     for kind, buf in bad[:20]:
         print(kind, buf)
-    print(f"bodies={n} framings={n} divergences={len(bad)} "
+    print(f"bodies={n} framings={n} content={n} divergences={len(bad)} "
           f"in {time.time() - t0:.0f}s")
     return 1 if bad else 0
 
