@@ -96,190 +96,8 @@ def run_ops(sf_dir: str):
     engine."""
     import __ray_entry__ as entrymod
     qs = entrymod.queries()
-    names = ["token_counts", "quality_scores", "exact_dedup", "lang_id",
-             "minhash_neardup", "simhash_neardup", "ann_topk", "ann_topk_lsh",
-             "events_hourly", "sessionize", "top_customers",
-             "extract_by_pages", "textprep", "tpch_q1", "revenue_by_nation",
-             "asof_join", "word_frequencies", "distinct_users",
-             "top_docs_per_lang", "median_chars_by_source",
-             "big_spender_customers", "quiet_customers",
-             "sliding_window_counts", "label_centroids",
-             "approx_distinct_users", "audio_features",
-             "normalize_text", "sessionize_salted", "asof_join_left",
-             "approx_value_quantiles", "ann_topk_ivf", "ccprep",
-             "asof_join_salted", "stratified_sample", "decontaminate",
-             "repetition_scores", "chunk_dedup", "tfidf_top_terms",
-             "gopher_filter", "dup_clusters", "weighted_sample",
-             "mixture_sample", "inverted_index", "zscore_by_source",
-             "quality_classifier", "promo_revenue", "revenue_by_region",
-             "running_totals", "dup_clusters_salted", "heavy_hitters",
-             "redact_pii", "props_k_stats", "customer_order_coverage",
-             "embedding_pca", "doc_rollup", "lang_pivot",
-             "shipping_priority", "order_priority_counts",
-             "large_volume_customers", "orders_above_avg", "event_gaps",
-             "chars_rank_by_source", "fuzzy_decontaminate",
-             "chars_percentiles_by_source", "chars_mode_by_source",
-             "doc_cube", "shared_user_ids", "event_transitions",
-             "latest_event_per_user", "except_users",
-             "cust_order_distribution", "brand_suppliers",
-             "rich_quiet_customers", "window3_sums",
-             "top_supplier_revenue", "top_return_customers",
-             "min_cost_supplier", "disjunctive_part_revenue",
-             "chars_quartiles_by_source", "source_chars_token_corr",
-             "funnel_counts", "langs_per_source", "pack_sequences",
-             "order_event_range_counts", "doc_pagerank",
-             "orders_by_month", "local_supplier_volume",
-             "nation_pair_volume", "image_resize", "chars_mad_by_source",
-             "discount_revenue", "small_qty_revenue", "market_share",
-             "profit_by_nation", "late_priority_counts",
-             "sole_late_supplier", "significant_parts",
-             "dominant_suppliers", "chars_ntile_by_source",
-             "chars_pct_rank", "user_first_last", "chars_skew_by_source",
-             "distinct_users_per_type", "top_bigrams", "bpe_merges",
-             "lm_buckets", "embedding_clusters", "source_vocab_stats",
-             "ann_topk_pq", "bm25_top_docs", "range_window_sums",
-             "dup_span_stats", "triangle_counts", "cms_word_counts",
-             "chars_width_histogram", "event_next_gaps", "value_share",
-             "doc_grouping_sets", "bpe_encode_stats", "all_user_ids",
-             "chars_token_regression", "winsorized_chars",
-             "training_shards", "bloom_semi_revenue",
-             "cross_source_overlap", "vocab_jaccard",
-             "chars_iqr_outliers", "rolling_median", "image_dedup",
-             "attributed_purchases", "retention_cohorts_cal", "user_paths",
-             "gram_edit_pairs", "remove_dup_spans", "ssjoin_jaccard",
-             "part_skyline", "doc_bfs_hops", "lang_gini_by_source",
-             "nth_event_per_user", "brand_copurchase", "pmi_pairs",
-             "asof_join_forward", "record_high_events",
-             "prefix_dedup_best", "doc_stats_long",
-             "chars_kurtosis_by_source", "orders_by_dow",
-             "ann_topk_filtered", "monthly_revenue_delta",
-             "weighted_avg_discount", "word_length_histogram",
-             "mannwhitney_chars", "lang_source_contingency",
-             "ks_chars", "benford_digits", "weighted_median_price",
-             "user_value_integral", "release_prep",
-             "chars_gmd_by_source", "order_total_audit",
-             "shortest_docs_with_ties", "conversion_latency",
-             "cdc_compaction", "neardup_eval_report",
-             "above_avg_sources", "order_streaks", "order_gap_stats",
-             "ssjoin_containment", "corpus_datacard",
-             "full_coverage_customers", "target_mixture_sample",
-             "late_event_counts", "snapshot_diff", "catalog_rowcounts",
-             "order_size_distribution", "stratified_hash_sample",
-             "orders_time_rollup", "quarter_share",
-             "url_host_stats", "url_normalize_dedup",
-             "lang_chi2_cells", "lang_entropy_by_source",
-             "geomean_chars_by_source", "oov_rate_report",
-             "trimmed_mean_chars", "snapshot_schema_union",
-             "robots_audit", "crawlprep", "session_stats", "sentence_stats",
-             "orders_profile_long", "tld_rollup",
-             "dup_rate_by_source", "hourly_autocorr",
-             "crawl_budget", "event_bigram_perplexity",
-             "harmonic_mean_chars", "host_balance_gini",
-             "split_leakage_report", "char_class_mix", "host_lorenz",
-             "events_dow_hour", "order_sla_breach", "zipf_slope",
-             "rfm_segments", "url_templates",
-             "lang_confusion", "page_titles",
-             "welch_t_value", "effective_langs",
-             "sliding_distinct_users",
-             "supplier_fill_rate", "revenue_concentration",
-             "lineitem_integrity", "boilerplate_stats",
-             "parquet_layout_audit", "jsonl_roundtrip",
-             "price_band_orders",
-             "global_doc_rank", "quantity_woe", "lang_target_encoding",
-             "user_value_kendall",
-             "extract_status_histogram", "extract_metadata",
-             "doc_stats_by_source", "lang_histogram", "doc_size_buckets",
-             "bpe_token_counts", "embedding_label_histogram",
-             "deterministic_sample", "dataset_splits", "lm_scores",
-             "incremental_dedup", "fingerprints", "ngram_neardup",
-             "neardup_clusters", "neardup_cluster_dedup", "neardup_dedup",
-             "embedding_neardup", "image_features", "ann_recall_report",
-             "audio_resample", "frame_samples", "csv_roundtrip",
-             "kcore_graph",
-             "user_value_ewma", "rolling_spikes", "transition_entropy",
-             "degree_histogram", "asof_join_nearest",
-             "readability_scores", "events_hourly_gapfill",
-             "lang_source_mi", "key_skew_report",
-             "emd_chars", "score_auc", "scd2_intervals",
-             "user_active_time", "link_common_neighbors",
-             "hits_scores", "peer_window_sums", "isotonic_calibration",
-             "source_jsd", "lang_share_ci", "user_value_locf",
-             "user_burstiness", "asof_join_tolerance",
-             "running_balance", "sequence_motifs",
-             "quantile_map_sources", "k_anonymity_audit",
-             "salting_plan", "kmv_distinct_users",
-             "bucket_merkle_diff", "wet_roundtrip",
-             "psi_chars_drift", "nfc_audit", "orders_by_isoweek",
-             "ols2_by_source", "changepoint_by_user",
-             "max_drawdown_by_user",
-             "chars_token_spearman", "runs_test_by_user",
-             "peak_hour_by_user", "type_switch_rate",
-             "event_gap_quantiles", "hapax_rate_by_source",
-             "source_bow_gram", "levene_absdev_chars",
-             "user_type_entropy", "reorder_rate",
-             "spend_activity_corr", "top_word_per_source",
-             "first_event_type_counts",
-             "user_value_autocorr", "type_transitions",
-             "source_vocab_jaccard", "nation_revenue_hhi",
-             "adjacent_edit_distance",
-             "dau_stickiness", "retention_cohorts", "nation_pareto80",
-             "source_dup_rate", "chars_histogram",
-             "orders_profile", "orders_topk_offset", "copurchase_lift",
-             "char_class_profile",
-             "embedding_quant_stats", "source_lcp",
-             "user_lifespan_hist",
-             "anova_f_chars", "cramers_v", "nation_theil",
-             "class_weight_plan", "user_daily_ohlc",
-             "systematic_sample", "label_centroid_cosine",
-             "fk_orphans", "user_survival_km", "kmv_type_overlap",
-             "langid_calibration",
-             "user_value_interp", "zorder_layout", "best_split_chars",
-             "nb_lang_confusion", "event_type_stationary",
-             "ams_f2_users", "zonemap_prune", "jackknife_mean_chars",
-             "business_days_latency", "customer_feature_table",
-             "mmr_select", "hash_permutation_test",
-             "gdpr_erasure_audit", "ivm_delta_merge",
-             "trade_distance", "quota_allocation", "hierarchy_share",
-             "expectations_audit", "hypothetical_rank",
-             "embedding_pair_dot",
-             "type_lag_xcorr", "analyze_table_sketch",
-             "sequence_gaps",
-             "type_dwell_time", "yoy_revenue",
-             "embedding_dim_profile",
-             "contrastive_pairs", "encoding_advisor", "decay_score",
-             "feature_hashing_stats", "snm_dup_candidates",
-             "label_propagation_langs",
-             "lang_kappa", "consistent_hash_balance", "rrf_fusion",
-             "dau_churn_jaccard", "user_growth_curve",
-             "compress_ratio_by_source",
-             "join_size_estimate", "conformal_chars_interval",
-             "markov_next_accuracy",
-             "linear_attribution", "diff_in_diff", "rbo_rankings",
-             "curriculum_order", "negative_sampling_table",
-             "user_last3_types",
-             "theil_sen_slope", "candidate_key_audit",
-             "source_cover_greedy",
-             "markov_entropy_rate", "simpson_flip_report",
-             "churn_training_set",
-             "source_weighted_jaccard", "seasonal_index",
-             "fold_balance_report",
-             "daily_acf", "daily_peaks", "elasticity_by_brand",
-             "session_type_lift", "decay_ess", "loso_mean_chars",
-             "gains_table_chars", "kmv_containment",
-             "session_entry_exit",
-             "conformal_coverage", "stable_top_words",
-             "session_conversion_by_entry",
-             "dau_new_returning", "user_hour_entropy",
-             # round 4: VERDICT items + waves 41-44
-             "ann_topk_ivfpq", "html_extract_eval", "sa_dup_spans",
-             "daily_ewma_counts", "spike_days", "nation_revenue_trend",
-             "goodturing_counts", "cohort_retention",
-             "revenue_drawdown", "revenue_lorenz", "event_order_audit",
-             "dow_hour_heatmap", "interarrival_buckets",
-             "sessionize_sweep", "dup_span_coverage"]
-    # future-proof: any queries() entry not explicitly ordered above
-    # still gets measured (new waves can't silently skip the bench)
-    names += [n for n in sorted(qs) if n not in names]
+    # extract_pages is the headline, which main_bench measures itself
+    names = [n for n in qs if n != "extract_pages"]
     out = {}
     # soft wall budget: the first pass ALWAYS completes (every op gets a
     # measurement); the second best-of-2 pass stops when the budget is
@@ -288,8 +106,6 @@ def run_ops(sf_dir: str):
     t_start = time.perf_counter()
     for _pass in range(2):
         for name in names:
-            if name not in qs:
-                continue
             if _pass > 0 and time.perf_counter() - t_start > budget:
                 print("bench: budget reached; keeping first-pass walls "
                       "for the remaining ops", file=sys.stderr)

@@ -117,7 +117,6 @@ class Document:
     def _parse_xref_table(self, lx: Lexer) -> dict:
         while True:
             lx.skip_ws()
-            save = lx.pos
             tok = lx.read_regular_token()
             if tok == b"trailer":
                 trailer = lx.parse_object()
@@ -170,7 +169,6 @@ class Document:
                 num = start + i
                 if kind == b"n" and num not in self._xref:
                     self._xref[num] = ("n", int(off_tok), int(gen_tok))
-            del save
 
     def _parse_xref_stream(self, stm: Stream) -> None:
         d = stm.dict
@@ -286,10 +284,11 @@ class Document:
     # -- object access -----------------------------------------------------
 
     def get_object(self, ref) -> object:
-        """Resolve an object by Ref or (num, gen) tuple. Returns None-like
-        NULL for free/missing per PDF semantics? No: raises on missing,
-        matching the reference's expect() behavior at the call sites that
-        require presence; `maybe_*` helpers catch."""
+        """Resolve an object by Ref or (num, gen) tuple.  Returns None
+        when the xref has no entry for it, or when the object at its
+        offset does not parse or carries another number; raises
+        PdfError for an argument that is not a reference, and when the
+        object stream holding a compressed object cannot be read."""
         if isinstance(ref, Ref):
             num = ref.num
         elif isinstance(ref, tuple):
@@ -378,12 +377,6 @@ class Document:
         if not isinstance(root, dict):
             raise PdfError("bad catalog")
         return root
-
-    def get_pages_dict(self) -> dict:
-        pages = maybe_get_obj(self, self.get_root(), b"Pages")
-        if not isinstance(pages, dict):
-            raise PdfError("bad Pages")
-        return pages
 
     def get_pages(self) -> Dict[int, Ref]:
         """page_num (1-based) -> page object Ref, in page-tree order

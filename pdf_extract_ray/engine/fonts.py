@@ -72,13 +72,6 @@ _advance_key = struct.Struct("4d").pack
 # distinct text states a font keeps advance tables for before starting over
 _MAX_ADVANCE_TABLES = 64
 
-CORE_FONT_NAMES = frozenset([
-    "Courier-Bold", "Courier-BoldOblique", "Courier-Oblique", "Courier",
-    "Helvetica-Bold", "Helvetica-BoldOblique", "Helvetica-Oblique",
-    "Helvetica", "Symbol", "Times-Bold", "Times-BoldItalic", "Times-Italic",
-    "Times-Roman", "ZapfDingbats",
-])
-
 _BASE_ENCODINGS = {
     b"MacRomanEncoding": MAC_ROMAN_ENCODING,
     b"MacExpertEncoding": MAC_EXPERT_ENCODING,
@@ -86,10 +79,6 @@ _BASE_ENCODINGS = {
 }
 
 _ENC_TABLE_CACHE: Dict[bytes, tuple] = {}
-
-
-def is_core_font(name: str) -> bool:
-    return name in CORE_FONT_NAMES
 
 
 def encoding_to_unicode_table(name: bytes) -> List[int]:
@@ -235,9 +224,6 @@ class PdfFont:
         return [h * (w0 * font_size + (space_spacing if word_space
                                        else char_spacing))
                 for w0, _char, word_space in glyphs]
-
-    def decode(self, data: bytes) -> str:
-        return "".join(self.decode_char(c) for c, _l in self.char_codes(data))
 
 
 class _Simple256Font(PdfFont):

@@ -35,7 +35,7 @@ est en du au pour que el los las y es se del por un una lo em que nem az és
 
 
 class _Block:
-    __slots__ = ("text_parts", "link_chars", "depth_tag", "boiler")
+    __slots__ = ("text_parts", "link_chars", "boiler")
 
     def __init__(self, boiler: bool):
         self.text_parts: List[str] = []
@@ -259,13 +259,11 @@ def _fast_feed(seg: _Segmenter, s: str) -> None:
                 return
 
 
-import re as _re
-
 # <meta charset="X"> or <meta http-equiv=... content="...;charset=X">,
 # case-insensitive, scanned in the head region only (WHATWG prescan)
-_CHARSET_RE = _re.compile(
+_CHARSET_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?\s*([A-Za-z0-9_.:-]+)""",
-    _re.IGNORECASE)
+    re.IGNORECASE)
 
 
 def _decode_html(payload: bytes) -> str:
@@ -327,8 +325,7 @@ def sniff_payload(payload: bytes) -> str:
     return "other"
 
 
-_TITLE_RE = _re.compile(r"<title[^>]*>(.*?)</title", _re.IGNORECASE | _re.DOTALL)
-_WS_RUN_RE = _re.compile(r"\s+")
+_TITLE_RE = re.compile(r"<title[^>]*>(.*?)</title", re.IGNORECASE | re.DOTALL)
 
 
 def extract_title(payload: bytes) -> str:
@@ -340,4 +337,4 @@ def extract_title(payload: bytes) -> str:
     m = _TITLE_RE.search(text)
     if not m:
         return ""
-    return _WS_RUN_RE.sub(" ", unescape(m.group(1))).strip()
+    return _WS_RE.sub(" ", unescape(m.group(1))).strip()

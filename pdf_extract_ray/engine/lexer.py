@@ -19,6 +19,15 @@ parser, which the tests hold the scanner to (tools/lexer_diff.py).
 Every quantifier in those patterns must be possessive (`*+`, `++`): a
 backtracking comment or name can end early and let its tail be read as
 a token.
+
+The byte-level object parser (`_parse_object_bytes` and the methods it
+calls) is the plain spec loop, not a fast path: the pdfgen fixtures and
+the perfbench workloads never reach it.  Every separator goes through
+`skip_ws`, arrays and dicts recurse through `_parse_object_bytes`, and
+`N G R` is one recognizer that reads the G and `R` tokens ahead and
+rewinds when they are not there.
+tests/test_lexer_reference.py pins its outcomes, error positions
+included (`cmap._tokens` resumes one byte past a `PdfError`).
 """
 from __future__ import annotations
 
@@ -34,19 +43,9 @@ _REG_RUN = re.compile(rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
 _LIT_SPECIAL = re.compile(rb"[()\\]")
 
 WHITESPACE = b"\x00\t\n\x0c\r "
-DELIMS = b"()<>[]{}/%"
-_IS_WS = bytearray(256)
-for _b in WHITESPACE:
-    _IS_WS[_b] = 1
-_IS_DELIM = bytearray(256)
-for _b in DELIMS:
-    _IS_DELIM[_b] = 1
-_IS_REG = bytearray(1 if not (_IS_WS[i] or _IS_DELIM[i]) else 0 for i in range(256))
-_IS_WS_OR_PCT = bytearray(_IS_WS)
-_IS_WS_OR_PCT[0x25] = 1  # '%' starts a comment (whitespace-equivalent)
-_REF_RE = re.compile(
-    rb"(\d+)[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R"
-    rb"(?![^\x00\t\n\x0c\r ()<>\[\]{}/%])")
+_IS_REG = bytearray(c not in WHITESPACE + b"()<>[]{}/%" for c in range(256))
+_IS_WS_OR_PCT = bytearray(c in WHITESPACE + b"%" for c in range(256))
+_NAME_ESCAPE = re.compile(rb"#([0-9A-Fa-f]{2})")
 
 # Object-body tokens for Lexer.parse_object: one match per token, the
 # lastindex naming the kind.  Quantifiers stay possessive (see above).
@@ -76,11 +75,11 @@ _TOKEN = _token_pattern(rb"(?!)()()")  # content streams: no references
 # recursion is the reference behaviour there)
 _MAX_DEPTH = 64
 
-_HEX = {}
-for _i, _c in enumerate(b"0123456789abcdef"):
-    _HEX[_c] = _i
-for _i, _c in enumerate(b"0123456789ABCDEF"):
-    _HEX[_c] = _i
+_HEX = {c: int(chr(c), 16) for c in b"0123456789abcdefABCDEF"}
+
+
+def _unescape(m) -> bytes:  # `#xx` in a name
+    return bytes((int(m[1], 16),))
 
 
 class Lexer:
@@ -226,24 +225,10 @@ class Lexer:
     def _parse_object_bytes(self, allow_ref: bool = True):
         """The byte-level parse: the fallback of `parse_object`, and the
         reference the scanner is tested against."""
-        # skip_ws inlined (profiled: this is the hottest skip_ws call
-        # site; typical separators are 0-2 plain ws bytes — loop those
-        # here, defer %-comments to the regex path)
-        buf, pos, end = self.buf, self.pos, self.end
-        while pos < end:
-            c = buf[pos]
-            if _IS_WS[c]:
-                pos += 1
-            elif c == 0x25:  # '%' comment: regex consumes run + comments
-                self.pos = pos
-                self.skip_ws()
-                pos = self.pos
-            else:
-                break
-        if pos >= end:
-            self.pos = pos
+        self.skip_ws()
+        buf, pos = self.buf, self.pos
+        if pos >= self.end:
             raise PdfError("EOF while parsing object")
-        self.pos = pos
         c = buf[pos]
         if c == 0x2F:  # '/'
             return self._parse_name()
@@ -251,8 +236,7 @@ class Lexer:
             return self._parse_literal_string()
         if c == 0x3C:  # '<'
             if pos + 1 < self.end and buf[pos + 1] == 0x3C:
-                d = self._parse_dict()
-                return d
+                return self._parse_dict()
             return self._parse_hex_string()
         if c == 0x5B:  # '['
             return self._parse_array(allow_ref)
@@ -271,24 +255,8 @@ class Lexer:
 
     def _parse_name(self) -> Name:
         m = _REG_RUN.match(self.buf, self.pos + 1, self.end)
-        raw = m.group()
         self.pos = m.end()
-        if b"#" not in raw:
-            return Name(raw)
-        out = bytearray()
-        i = 0
-        n = len(raw)
-        while i < n:
-            c = raw[i]
-            if c == 0x23 and i + 2 < n:
-                h1, h2 = raw[i + 1], raw[i + 2]
-                if h1 in _HEX and h2 in _HEX:
-                    out.append(_HEX[h1] * 16 + _HEX[h2])
-                    i += 3
-                    continue
-            out.append(c)
-            i += 1
-        return Name(bytes(out))
+        return Name(_NAME_ESCAPE.sub(_unescape, m.group()))
 
     def _parse_literal_string(self) -> PdfString:
         buf, end = self.buf, self.end
@@ -345,30 +313,16 @@ class Lexer:
     def _parse_hex_string(self) -> PdfString:
         buf, end = self.buf, self.end
         pos = self.pos + 1  # skip '<'
-        # fast path (profiled ~4x): clean even-length hex (possibly with
-        # whitespace BETWEEN byte pairs — fromhex skips exactly the same
-        # separators the loop does) in one C call; anything fromhex
-        # rejects (odd nibble count, junk bytes, ws splitting a pair)
-        # falls through to the quirk-preserving byte loop
-        j = buf.find(b">", pos, end)
-        if j >= 0:
-            try:
-                s = bytes.fromhex(buf[pos:j].decode("ascii"))
-                self.pos = j + 1
-                return PdfString(s)
-            except (ValueError, UnicodeDecodeError):
-                pass
         out = bytearray()
         hi = None
         while pos < end:
             c = buf[pos]
-            if c == 0x3E:  # '>'
-                pos += 1
+            if c == 0x3E:  # '>'; an odd last digit is followed by 0
                 if hi is not None:
                     out.append(hi * 16)
-                self.pos = pos
+                self.pos = pos + 1
                 return PdfString(bytes(out))
-            v = _HEX.get(c)
+            v = _HEX.get(c)  # bytes that are not hex digits are skipped
             if v is not None:
                 if hi is None:
                     hi = v
@@ -378,104 +332,63 @@ class Lexer:
             pos += 1
         raise PdfError("unterminated hex string")
 
+    def _next_item(self, mark: int, close: bytes, what: str) -> bool:
+        """Skip to a container's next item; True (past it) at `close`.
+        At the end of the input the cursor goes back to `mark` (the
+        container's start, or the end of its last item) unless a
+        comment was skipped, then raises."""
+        self.skip_ws()
+        if self.buf.startswith(close, self.pos, self.end):
+            self.pos += len(close)
+            return True
+        if self.pos >= self.end:
+            if self.buf.find(b"%", mark, self.end) < 0:
+                self.pos = mark
+            raise PdfError(f"unterminated {what}")
+        return False
+
     def _parse_array(self, allow_ref: bool) -> list:
-        # ws fast path inlined (same shape as parse_object's)
-        buf, end = self.buf, self.end
-        pos = self.pos + 1  # skip '['
         out = []
-        append = out.append
-        parse = self._parse_object_bytes
-        while True:
-            while pos < end and _IS_WS[buf[pos]]:
-                pos += 1
-            if pos < end and buf[pos] == 0x25:
-                self.pos = pos
-                self.skip_ws()
-                pos = self.pos
-                continue
-            if pos >= end:
-                raise PdfError("unterminated array")
-            if buf[pos] == 0x5D:
-                self.pos = pos + 1
-                return out
-            self.pos = pos
-            append(parse(allow_ref))
-            pos = self.pos
+        mark = self.pos
+        self.pos += 1  # skip '['
+        while not self._next_item(mark, b"]", "array"):
+            out.append(self._parse_object_bytes(allow_ref))
+            mark = self.pos
+        return out
 
     def _parse_dict(self) -> dict:
-        buf, end = self.buf, self.end
-        pos = self.pos + 2  # skip '<<'
         out = {}
-        parse = self._parse_object_bytes
-        while True:
-            while pos < end and _IS_WS[buf[pos]]:
-                pos += 1
-            if pos < end and buf[pos] == 0x25:
-                self.pos = pos
-                self.skip_ws()
-                pos = self.pos
-                continue
-            if pos + 1 < end and buf[pos] == 0x3E and buf[pos + 1] == 0x3E:
-                self.pos = pos + 2
-                return out
-            if pos >= end:
-                raise PdfError("unterminated dict")
-            self.pos = pos
-            if buf[pos] == 0x2F:  # keys are names: skip the dispatch
-                key = self._parse_name()
-            else:
-                key = parse()
-                if not isinstance(key, Name):
-                    raise PdfError(f"dict key not a name: {key!r}")
-            val = parse()
-            out[bytes(key)] = val
-            pos = self.pos
+        mark = self.pos
+        self.pos += 2  # skip '<<'
+        while not self._next_item(mark, b">>", "dict"):
+            key = self._parse_object_bytes()
+            if not isinstance(key, Name):
+                raise PdfError(f"dict key not a name: {key!r}")
+            out[bytes(key)] = self._parse_object_bytes()
+            mark = self.pos
+        return out
 
     def _parse_number_or_ref(self, allow_ref: bool):
-        buf, end = self.buf, self.end
-        if allow_ref:
-            # one-shot `N G R` match (the dominant case in dicts); the
-            # byte-loop fallback below also covers %-comments between
-            # the three tokens
-            m = _REF_RE.match(buf, self.pos, end)
-            if m is not None:
-                self.pos = m.end()
-                return Ref(int(m.group(1)), int(m.group(2)))
-        m = _REG_RUN.match(buf, self.pos, end)
-        tok = m.group()
-        self.pos = m.end()
+        start = self.pos
+        tok = self.read_regular_token()
+        after = self.pos
+        ref = False
+        if allow_ref:  # `N G R`: a digits-only G, then an `R` token
+            self.skip_ws()
+            gen = self.read_regular_token()
+            self.skip_ws()
+            ref = gen.isdigit() and self.read_regular_token() == b"R"
+            # a digits-only N with no comment up to the R takes int(),
+            # which raises past 4,300 digits (parse_number makes it real)
+            if ref and tok.isdigit() and self.buf.find(b"%", start,
+                                                       self.pos) < 0:
+                return Ref(int(tok), int(gen))
+        end = self.pos
+        self.pos = after
         num = parse_number(tok)
-        if allow_ref and type(num) is int and num >= 0:
-            # `N G R` lookahead in pure byte loops (profiled: the old
-            # token-by-token fallback cost 2 skip_ws + 2 regex token
-            # reads per bare integer in arrays — widths arrays are full
-            # of them; this scan fails after a handful of byte compares)
-            p = self.pos
-            while True:
-                while p < end and _IS_WS[buf[p]]:
-                    p += 1
-                if p < end and buf[p] == 0x25:  # %-comment to EOL
-                    while p < end and buf[p] != 0x0D and buf[p] != 0x0A:
-                        p += 1
-                    continue
-                break
-            q = p
-            while q < end and 0x30 <= buf[q] <= 0x39:
-                q += 1
-            if q > p and (q >= end or not _IS_REG[buf[q]]):
-                r = q
-                while True:
-                    while r < end and _IS_WS[buf[r]]:
-                        r += 1
-                    if r < end and buf[r] == 0x25:
-                        while r < end and buf[r] != 0x0D and buf[r] != 0x0A:
-                            r += 1
-                        continue
-                    break
-                if r < end and buf[r] == 0x52 and (
-                        r + 1 >= end or not _IS_REG[buf[r + 1]]):
-                    self.pos = r + 1
-                    return Ref(num, int(buf[p:q]))
+        if ref and type(num) is int and num >= 0:
+            self.pos = end
+            return Ref(num, int(gen))
         return num
 
 

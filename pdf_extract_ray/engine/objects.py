@@ -12,7 +12,7 @@ byte strings.  Representation is idiomatic Python, not a translation:
 - name         -> Name (bytes subclass)
 - array        -> list
 - dictionary   -> dict[bytes, obj]
-- stream       -> Stream (dict + raw bytes + filter decode)
+- stream       -> Stream (dict + raw, still-encoded bytes)
 - reference    -> Ref(num, gen)
 """
 from __future__ import annotations
@@ -86,19 +86,6 @@ class Stream:
     def __init__(self, d: dict, raw: bytes):
         self.dict = d
         self.raw = raw
-
-    def get_contents(self) -> bytes:
-        """Decoded content, falling back to raw bytes if decode fails.
-
-        Mirrors `get_contents` (reference src/lib.rs:1255-1261): if the
-        filter chain is recognized, apply it and fall back to the raw
-        content on failure; unknown filters yield the raw content.
-        """
-        from .filters import decode_stream
-        try:
-            return decode_stream(self)
-        except Exception:
-            return self.raw
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream({self.dict!r}, {len(self.raw)} bytes)"
@@ -189,11 +176,6 @@ def require_dict(doc, d: dict, key: bytes) -> dict:
     if o is None:
         raise PdfError(f"missing dict {key!r}")
     return o
-
-
-def get_stream(doc, d: dict, key: bytes) -> Optional[Stream]:
-    o = maybe_get_obj(doc, d, key)
-    return o if isinstance(o, Stream) else None
 
 
 def maybe_get_name(doc, d: dict, key: bytes) -> Optional[bytes]:

@@ -29,16 +29,6 @@ from ..ops.dedup import _grouped_by_partition
 from .extract import extract_dataset
 
 
-def _keep_min_url(df: pd.DataFrame) -> pd.DataFrame:
-    """Keep the lexicographically-first original url per canonical url
-    (deterministic survivor election, same rule map-side and in the
-    partition resolve)."""
-    if len(df) == 0:
-        return df
-    idx = df.groupby("norm_url", sort=False)["url"].idxmin()
-    return df.loc[np.sort(idx.to_numpy())]
-
-
 def _allowed(pages_ds, rules):
     """Map-only prefix of the chain: canonicalize + robots filter.
     Cheap regex work — safe to re-execute when the lineage forks."""
@@ -99,6 +89,19 @@ def _dropped_urls(allowed, num_partitions):
     return local_drops.union(global_drops)
 
 
+def _survivors(pages_ds, rules, num_partitions):
+    """The pages that pass the robots rules and win canonical-URL dedup,
+    with their input columns (norm_url dropped again)."""
+    from ..ops.dedup import drop_rows_by_id
+
+    allowed = _allowed(pages_ds, rules)
+    dropped = _dropped_urls(allowed, num_partitions)
+    return drop_rows_by_id(
+        allowed, dropped, id_col="url",
+        num_partitions=num_partitions).map_batches(
+            lambda df: df.drop(columns=["norm_url"]), batch_format="pandas")
+
+
 def crawlprep_dataset(pages_ds, *,
                       rules: Iterable[Tuple[str, str]] = (),
                       num_partitions: int = 32,
@@ -120,20 +123,8 @@ def crawlprep_dataset(pages_ds, *,
     once for the key pass; at crawl scale re-reading pruned parquet
     beats shuffling payload bytes by orders of magnitude (A/B at
     sf0.1: 9.2 s -> see BASELINE.md)."""
-    from ..ops.dedup import drop_rows_by_id
-
-    allowed = _allowed(pages_ds, rules)
-    dropped = _dropped_urls(allowed, num_partitions)
-
-    survivors = drop_rows_by_id(allowed, dropped, id_col="url",
-                                num_partitions=num_partitions)
-
-    def _strip(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop(columns=["norm_url"])
-
-    survivors = survivors.map_batches(_strip, batch_format="pandas")
-    return extract_dataset(survivors, batch_size=batch_size,
-                           with_spans=with_spans)
+    return extract_dataset(_survivors(pages_ds, rules, num_partitions),
+                           batch_size=batch_size, with_spans=with_spans)
 
 
 def run_crawlprep(input_dir: str, output_dir: str, *,
@@ -162,19 +153,11 @@ def run_crawlprep(input_dir: str, output_dir: str, *,
     marker = os.path.join(output_dir, "manifest", "urlprep.json")
     phase1 = _committed(marker, resume)
     if phase1 is None:
-        from ..ops.dedup import drop_rows_by_id
-
         t0 = time.perf_counter()
         pages = read_pages(_input_files(input_dir))
         n_in = pages.count()
-        allowed = _allowed(pages, rules)
-        dropped = _dropped_urls(allowed, num_partitions)
-        survivors = drop_rows_by_id(
-            allowed, dropped, id_col="url",
-            num_partitions=num_partitions).map_batches(
-                lambda df: df.drop(columns=["norm_url"]),
-                batch_format="pandas")
-        n_out = _rewrite_parquet(survivors, surv_dir)
+        n_out = _rewrite_parquet(_survivors(pages, rules, num_partitions),
+                                 surv_dir)
         phase1 = _commit(marker, {
             "rows_in": n_in, "survivors": n_out, "dropped": n_in - n_out,
             "wall_s": round(time.perf_counter() - t0, 3),
