@@ -178,7 +178,7 @@ def extract_text_and_spans_from_mem(buffer: bytes
 def extract_text_and_span_columns_from_mem(buffer: bytes
                                            ) -> Tuple[str, SpanGeometry]:
     """Pipeline fast path: text + the unplaced glyph geometry
-    (`SpanGeometry`, one entry of `t4` per glyph) that
+    (`SpanGeometry`, one entry of `codes` per glyph) that
     `devices.resolve_span_columns` turns into the span columns
     (pages, starts, ends, xs, ys, font_sizes) — resolve many documents'
     geometries in one call."""

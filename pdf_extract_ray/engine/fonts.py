@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import logging
 import struct
+from array import array
 from codecs import charmap_decode
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tables.core_fonts import CORE_FONT_METRICS
@@ -43,27 +45,18 @@ Glyph = Tuple[float, str, bool]
 _UNDEFINED = "\ufffe"
 
 
-class GlyphRun:
-    """The glyphs of a 1-byte font's text string whose every code
-    decodes to one char (`PdfFont.glyph_run`): a sequence of `Glyph`,
-    each looked up in the font's glyph table only when read, and `text`,
-    the glyphs' chars joined."""
+class AdvanceTable(list):
+    """One text state's advances `h * (w0 * font_size + spacing)` by
+    1-byte code (`_Simple256Font.advance_table`): 256 floats, of which
+    the codes of the font's glyph table are filled, in the order they
+    were added to it, up to `filled` of them; `doubles` holds the same
+    values as a C array, which is what the span device records."""
 
-    __slots__ = ("text", "_codes", "_table")
+    __slots__ = ("filled", "doubles")
 
-    def __init__(self, text: str, codes: bytes, table: Dict[int, Glyph]):
-        self.text = text
-        self._codes = codes
-        self._table = table
 
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, i: int) -> Glyph:
-        return self._table[self._codes[i]]
-
-    def __iter__(self) -> Iterator[Glyph]:
-        return map(self._table.__getitem__, self._codes)
+_NO_ADVANCES = [0.0] * 256
+_NO_ADVANCE_BYTES = bytes(8 * 256)
 
 
 # key of a per-font advance table: the bits of (horizontal scaling, font
@@ -175,6 +168,10 @@ def _get_contents(stm: Stream, doc) -> bytes:
 class PdfFont:
     """Abstract font (src/lib.rs:782-803)."""
 
+    # 1-byte fonts: code -> Glyph of every code shown so far, in the
+    # order shown (`glyphs` fills it); None for CID fonts
+    glyph_table: Optional[Dict[int, Glyph]] = None
+
     def get_width(self, code: int) -> float:
         raise NotImplementedError
 
@@ -207,23 +204,11 @@ class PdfFont:
                  code == 32 and length == 1)
                 for code, length in self.char_codes(data)]
 
-    def glyph_run(self, data: bytes) -> Optional[GlyphRun]:
-        """-> `data`'s glyphs as a GlyphRun when the font knows, without
-        looking them up, that each decodes to one char; else None, and
+    def run_text(self, data: bytes) -> Optional[str]:
+        """-> `data`'s text when the font knows, without looking its
+        glyphs up, that each decodes to one char; else None, and
         `glyphs(data)` gives them."""
         return None
-
-    def advances(self, data: bytes, glyphs: List[Glyph], h: float,
-                 font_size: float, char_spacing: float,
-                 space_spacing: float) -> List[float]:
-        """-> the text-space advance `h * (w0 * font_size + spacing)` of
-        each of `glyphs` (the glyphs of `data`), where spacing is
-        `space_spacing` for a word space and `char_spacing` otherwise
-        (src/lib.rs:1307-1319; the reference's `w0 - 0.0 / 1000.0` is
-        `w0` bit for bit, NaN and -0.0 included)."""
-        return [h * (w0 * font_size + (space_spacing if word_space
-                                       else char_spacing))
-                for w0, _char, word_space in glyphs]
 
 
 class _Simple256Font(PdfFont):
@@ -232,16 +217,15 @@ class _Simple256Font(PdfFont):
     encoding: Optional[List[int]]
     unicode_map: Optional[Dict[int, str]]
     widths: Dict[int, float]
-    _glyph_table: Optional[Dict[int, Glyph]] = None
     # the glyph table's chars by code, set with it; _UNDEFINED for codes
     # not in it yet and for codes that decode to no char or to several
     _chars: List[str]
-    # "".join(_chars), the table `glyph_run` decodes with; None until a
+    # "".join(_chars), the table `run_text` decodes with; None until a
     # string shows only codes the glyph table has, and again from the
     # next code added to it until such a string comes by
     _charmap: Optional[str] = None
-    # advance key -> {code: advance}, filled from the glyph table
-    _advance_tables: Optional[Dict[bytes, Dict[int, float]]] = None
+    # advance key -> AdvanceTable
+    _advance_tables: Optional[Dict[bytes, AdvanceTable]] = None
 
     def next_char(self, data, pos):
         return (data[pos], 1, pos + 1)
@@ -266,9 +250,9 @@ class _Simple256Font(PdfFont):
         # Per-font table of the 256 codes, filled on first use of each
         # code (filling codes a document never shows would raise errors it
         # never hits, e.g. a Type3 code outside FirstChar..LastChar).
-        table = self._glyph_table
+        table = self.glyph_table
         if table is None:
-            table = self._glyph_table = {}
+            table = self.glyph_table = {}
             self._chars = [_UNDEFINED] * 256
         try:
             glyphs = list(map(table.__getitem__, data))
@@ -289,7 +273,7 @@ class _Simple256Font(PdfFont):
                     self._chars[code] = glyph[1]
         return list(map(table.__getitem__, data))
 
-    def glyph_run(self, data):
+    def run_text(self, data):
         # one C call decodes the string, and fails on a code the glyph
         # table does not have yet or that is not one char (`glyphs` then
         # adds it or gives its glyphs)
@@ -297,16 +281,16 @@ class _Simple256Font(PdfFont):
         if charmap is None or not data:
             return None
         try:
-            text = charmap_decode(data, "strict", charmap)[0]
+            return charmap_decode(data, "strict", charmap)[0]
         except UnicodeDecodeError:
             return None
-        return GlyphRun(text, data, self._glyph_table)
 
-    def advances(self, data, glyphs, h, font_size, char_spacing,
-                 space_spacing):
-        # One table of the codes' advances per text state, filled from
-        # the glyph table (which `glyphs(data)` has filled for every code
-        # of `data`), with the same float ops as the generic method.
+    def advance_table(self, h, font_size, char_spacing,
+                      space_spacing) -> AdvanceTable:
+        """-> the advances by code of this text state, filled for every
+        code of the glyph table, with the same float ops as `show_text`
+        uses for a font without one (one table per text state, shared by
+        the pages and text objects of the document that use it)."""
         key = _advance_key(h, font_size, char_spacing, space_spacing)
         tables = self._advance_tables
         if tables is None:
@@ -315,18 +299,19 @@ class _Simple256Font(PdfFont):
         if table is None:
             if len(tables) >= _MAX_ADVANCE_TABLES:
                 tables.clear()
-            table = tables[key] = {}
-        try:
-            return list(map(table.__getitem__, data))
-        except KeyError:
-            pass
-        glyph_table = self._glyph_table
-        for code in data:
-            if code not in table:
-                w0, _char, word_space = glyph_table[code]
-                table[code] = h * (w0 * font_size + (
+            table = tables[key] = AdvanceTable(_NO_ADVANCES)
+            table.filled = 0
+            table.doubles = array("d", _NO_ADVANCE_BYTES)
+        glyph_table = self.glyph_table
+        if table.filled < len(glyph_table):
+            doubles = table.doubles
+            # the glyph table only grows, in insertion order
+            for code, (w0, _char, word_space) in islice(
+                    glyph_table.items(), table.filled, None):
+                table[code] = doubles[code] = h * (w0 * font_size + (
                     space_spacing if word_space else char_spacing))
-        return list(map(table.__getitem__, data))
+            table.filled = len(glyph_table)
+        return table
 
 
 class PdfSimpleFont(_Simple256Font):

@@ -9,14 +9,14 @@ bit-identical.
 from __future__ import annotations
 
 import logging
-import operator
-from array import array
-from itertools import accumulate, repeat
+from functools import reduce
+from itertools import repeat
 from math import isfinite
-from typing import List, Optional, Tuple
+from operator import add, itemgetter, mul as _fmul
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .content import parse_content
-from .fonts import PdfFont, make_font
+from .fonts import Glyph, PdfFont, make_font
 from .objects import (Name, PdfError, PdfString, Stream, as_num,
                       maybe_get_obj, require_dict)
 
@@ -52,9 +52,16 @@ def transform_vector(m: Transform, vx: float, vy: float) -> Tuple[float, float]:
     return (vx * m[0] + vy * m[2], vx * m[1] + vy * m[3])
 
 
+def _sqrt_or_nan(v: float) -> float:
+    # Rust f64::sqrt(negative) == NaN; Python math.sqrt raises, so guard.
+    return v ** 0.5 if v >= 0.0 else NAN
+
+
 class TextState:
+    # `advances`: the font's `AdvanceTable` for this font, size, Tc, Tw
+    # and Tz, set by `show_text` and dropped by Tf, Tc, Tw and Tz
     __slots__ = ("font", "font_size", "character_spacing", "word_spacing",
-                 "horizontal_scaling", "leading", "rise", "tm")
+                 "horizontal_scaling", "leading", "rise", "tm", "advances")
 
     def __init__(self):
         self.font: Optional[PdfFont] = None
@@ -65,6 +72,7 @@ class TextState:
         self.leading = 0.0
         self.rise = 0.0
         self.tm: Transform = IDENTITY
+        self.advances = None
 
     def clone(self) -> "TextState":
         c = TextState.__new__(TextState)
@@ -100,74 +108,149 @@ class GraphicsState:
         return c
 
 
+class TextRun(NamedTuple):
+    """One text string's glyphs, as `show_text` hands them to a device.
+
+    Glyph i (of `n`) has the text-rendering matrix
+    `(*linear, r4 + (t4_i * c0 + t5_i * c2 + c4),
+    r5 + (t4_i * c1 + t5_i * c3 + c5))` with `(c0, ..., c5) = ctm`,
+    where `(t4_0, t5_0) = (t4, t5)` and, with glyph i's advance `tx_i`,
+    `t4_{i+1} = t4_i + tx_i * t0` and `t5_{i+1} = t5_i + tx_i * t1`
+    (one add after the other, in glyph order).  `(t4_last, t5_last)`
+    are the last glyph's, `w_last` its width / 1000, and `tfs` the
+    transformed font size `sqrt(tvx * tvy)` (NaN when negative) of
+    `(tvx, tvy) = transform_vector(linear, font_size, font_size)`.
+
+    With a 1-byte font, `codes` are the string's codes, and glyph i is
+    `glyphs[codes[i]]` with advance `advances[codes[i]]` (the font's
+    glyph table and the text state's `fonts.AdvanceTable`); otherwise
+    `codes` is None and `glyphs`/`advances` hold one entry per glyph.
+    A glyph is `(width / 1000, char, is_word_space)`; `spacing` is the
+    (char, word-space) pair its `is_word_space` picks from.  `char_lens`
+    is each glyph's decoded length, or None when all are 1.
+    """
+    text: str
+    tfs: float
+    t4: float
+    t5: float
+    t4_last: float
+    t5_last: float
+    w_last: float
+    ctm: Transform
+    r4: float
+    r5: float
+    n: int
+    codes: Optional[bytes]
+    advances: Sequence[float]
+    char_lens: Optional[List[int]]
+    t0: float
+    t1: float
+    glyphs: Union[Dict[int, Glyph], Sequence[Glyph]]
+    linear: Tuple[float, float, float, float]
+    font_size: float
+    spacing: Tuple[float, float]
+
+
+_new_run = tuple.__new__  # TextRun from a tuple, without the keyword pass
+# `_fold(xs, start)`: start + xs[0] + xs[1] + ..., one add at a time,
+# left to right.  CPython's `sum` does exactly that for floats before
+# 3.12, at twice the speed of `reduce`; from 3.12 on it compensates the
+# rounding error, which these three floats tell apart.
+_fold = (sum if sum([1.0, 1e16, -1e16]) == 0.0
+         else lambda xs, start: reduce(add, xs, start))
+_glyph_char = itemgetter(1)
+
+
 def show_text(gs: GraphicsState, s: bytes, output) -> None:
-    """Place one text string's glyphs and advance tm
-    (src/lib.rs:1276-1327); the device gets them as one `output_run`.
+    """Show one text string (src/lib.rs:1276-1327): one
+    `output.output_run(TextRun)` if it has glyphs, then advance tm.
 
     The reference builds each glyph's text-rendering matrix
     `trm = tsm * tm * ctm` and advances `tm` by `T(tx, 0)`.  Inside one
-    string only tm's translation (t4, t5) moves, so this function folds
-    the string's advances `tx` (`PdfFont.advances`) into the sequences of
-    t4 and t5 with `itertools.accumulate` and hands the device the run's
-    geometry instead of matrices:
+    string only tm's translation (t4, t5) moves, so the run record
+    carries the string's geometry instead of matrices (see `TextRun`):
+    this function computes only what every device needs -- the text,
+    `tfs`, the first and last glyph's t4/t5, the last glyph's width and
+    the end tm -- and leaves the other glyphs to the device.  The
+    products are euclid's, minus the zero terms of
+    tsm = (h, 0, 0, 1, 0, rise) and of the advance translation: a zero
+    product term only ever changes the sign of a zero, which no
+    downstream comparison can observe.  The advance of a glyph is
+    `h * (w0 * font_size + spacing)` (the reference's
+    `w0 - 0.0 / 1000.0` is `w0` bit for bit, NaN and -0.0 included); a
+    1-byte font's come from the text state's cached `AdvanceTable`.
 
-        output_run(linear_part, font_size, rise, ctm, t4s, t5s, glyphs,
-                   spacing)
-
-    Glyph i's trm is `(*linear_part, r4 + (t4s[i]*c0 + t5s[i]*c2 + c4),
-    r5 + (t4s[i]*c1 + t5s[i]*c3 + c5))` with `rise == (r4, r5)` and
-    `ctm == (c0, ..., c5)`; `spacing` is the (char, word-space) spacing
-    pair the glyph's `is_word_space` picks from.  Devices evaluate only
-    the glyphs they need.  The products are euclid's, minus the zero
-    terms of tsm = (h, 0, 0, 1, 0, rise) and of the advance translation:
-    a zero product term only ever changes the sign of a zero, which no
-    downstream comparison can observe.
-
-    `glyphs` is a `fonts.GlyphRun` when the font decodes the string in
-    one call, one char per glyph (`PdfFont.glyph_run`), else the list
-    `PdfFont.glyphs` builds; t4s is a list, and t5s is a list or, when
-    every glyph shares tm's t5, an `array('d')`.
+    The text comes from `PdfFont.run_text` when the font decodes the
+    string in one call, one char per glyph, else from `PdfFont.glyphs`.
     """
     ts = gs.ts
     font = ts.font
     if font is None:
         raise PdfError("show text with no font set")
-    output.begin_word()
-    glyphs = font.glyph_run(s)
-    if glyphs is None:
+    text = font.run_text(s)
+    char_lens = None
+    if text is None:
         glyphs = font.glyphs(s)
+        if not glyphs:
+            return
+        chars = list(map(_glyph_char, glyphs))
+        text = "".join(chars)
+        if len(text) != len(chars) or "" in chars:
+            char_lens = list(map(len, chars))
+    h = ts.horizontal_scaling
+    font_size = ts.font_size
+    char_spacing = ts.character_spacing
+    space_spacing = char_spacing + ts.word_spacing
+    table = font.glyph_table
+    if table is not None:  # 1-byte codes
+        codes, n, glyphs, last = s, len(s), table, s[-1]
+        advances = ts.advances
+        if advances is None or advances.filled < len(table):
+            advances = ts.advances = font.advance_table(
+                h, font_size, char_spacing, space_spacing)
+        head = s[:-1]
+        get = advances.__getitem__
+        txs = map(get, head)
+        w_last = table[last][0]
+    else:
+        codes, n, last = None, len(glyphs), -1
+        advances = [h * (w0 * font_size + (space_spacing if word_space
+                                           else char_spacing))
+                    for w0, _char, word_space in glyphs]
+        txs = head = advances[:-1]
+        w_last = glyphs[-1][0]
+    tx = advances[last]
     t0, t1, t2, t3, t4, t5 = ts.tm
-    if glyphs:
-        ctm = gs.ctm
-        c0, c1, c2, c3, _c4, _c5 = ctm
-        h = ts.horizontal_scaling
-        font_size = ts.font_size
-        char_spacing = ts.character_spacing
-        space_spacing = char_spacing + ts.word_spacing
-        # tm = T(tx, 0) * tm: t4 += tx * t0, t5 += tx * t1 per glyph
-        txs = font.advances(s, glyphs, h, font_size, char_spacing,
-                            space_spacing)
-        # tx * 1.0 == tx for every float, so an unscaled tm skips it
-        t4s = list(accumulate(
-            txs if t0 == 1.0 else map(operator.mul, txs, repeat(t0)),
-            initial=t4))
-        t4 = t4s.pop()
-        if t1 == 0.0 and t5 != 0.0 and isfinite(sum(txs)):
-            # every tx * t1 is a zero, and t5 + (+-0.0) == t5
-            t5s = array("d", (t5,)) * len(txs)
-        else:
-            t5s = list(accumulate(map(operator.mul, txs, repeat(t1)),
-                                   initial=t5))
-            t5 = t5s.pop()
-        # linear part of m = tm * ctm; trm = tsm * m
-        m2 = t2 * c0 + t3 * c2
-        m3 = t2 * c1 + t3 * c3
-        rise = ts.rise
-        output.output_run((h * (t0 * c0 + t1 * c2), h * (t0 * c1 + t1 * c3),
-                           m2, m3), font_size, (rise * m2, rise * m3), ctm,
-                          t4s, t5s, glyphs, (char_spacing, space_spacing))
-    ts.tm = (t0, t1, t2, t3, t4, t5)
-    output.end_word()
+    # tm = T(tx, 0) * tm: t4 += tx * t0, t5 += tx * t1 per glyph;
+    # tx * 1.0 == tx for every float, so an unscaled tm skips it
+    t4_last = _fold(txs if t0 == 1.0 else map(_fmul, txs, repeat(t0)), t4)
+    t4_end = t4_last + tx * t0
+    if t1 == 0.0 and t5 != 0.0 and isfinite(t4_end):
+        # a finite t4 fold had finite advances: every tx * t1 is a zero,
+        # and t5 + (+-0.0) == t5
+        t5_last = t5_end = t5
+    else:
+        if codes is not None:
+            head = map(get, head)
+        t5_last = _fold(map(_fmul, head, repeat(t1)), t5)
+        t5_end = t5_last + tx * t1
+    ctm = gs.ctm
+    c0, c1, c2, c3, _c4, _c5 = ctm
+    # linear part of m = tm * ctm; trm = tsm * m
+    a = h * (t0 * c0 + t1 * c2)
+    b = h * (t0 * c1 + t1 * c3)
+    m2 = t2 * c0 + t3 * c2
+    m3 = t2 * c1 + t3 * c3
+    rise = ts.rise
+    output.output_run(_new_run(TextRun, (
+        text,
+        # tfs from transform_vector((a, b, m2, m3), font_size, font_size)
+        _sqrt_or_nan((font_size * a + font_size * m2)
+                     * (font_size * b + font_size * m3)),
+        t4, t5, t4_last, t5_last, w_last, ctm, rise * m2, rise * m3, n,
+        codes, advances, char_lens, t0, t1, glyphs, (a, b, m2, m3),
+        font_size, (char_spacing, space_spacing))))
+    ts.tm = (t0, t1, t2, t3, t4_end, t5_end)
 
 
 def apply_state(doc, gs: GraphicsState, state: dict) -> None:
@@ -340,12 +423,16 @@ class Processor:
                     self.font_table[key] = font
                 gs.ts.font = font
                 gs.ts.font_size = as_num(operands[1])
+                gs.ts.advances = None
             elif op == "Tc":
                 gs.ts.character_spacing = as_num(operands[0])
+                gs.ts.advances = None
             elif op == "Tw":
                 gs.ts.word_spacing = as_num(operands[0])
+                gs.ts.advances = None
             elif op == "Tz":
                 gs.ts.horizontal_scaling = as_num(operands[0]) / 100.0
+                gs.ts.advances = None
             elif op == "TL":
                 gs.ts.leading = as_num(operands[0])
             elif op == "Ts":

@@ -23,9 +23,10 @@ a token.
 The byte-level object parser (`_parse_object_bytes` and the methods it
 calls) is the plain spec loop, not a fast path: the pdfgen fixtures and
 the perfbench workloads never reach it.  Every separator goes through
-`skip_ws`, arrays and dicts recurse through `_parse_object_bytes`, and
-`N G R` is one recognizer that reads the G and `R` tokens ahead and
-rewinds when they are not there.
+`skip_ws`, arrays and dicts recurse through `_parse_object_bytes` (a
+container nested past `_MAX_NESTING` levels raises PdfError, the same
+at any stack depth of the caller), and `N G R` is one recognizer that
+reads the G and `R` tokens ahead and rewinds when they are not there.
 tests/test_lexer_reference.py pins its outcomes, error positions
 included (`cmap._tokens` resumes one byte past a `PdfError`).
 """
@@ -71,9 +72,13 @@ def _token_pattern(ref: bytes) -> "re.Pattern":
 _TOKEN_REF = _token_pattern(
     rb"([+-]?+\d++)" + _SEP + rb"++(\d++)" + _SEP + rb"++R" + _DELIMITED)
 _TOKEN = _token_pattern(rb"(?!)()()")  # content streams: no references
-# containers nested deeper than this take the byte-level path (whose
-# recursion is the reference behaviour there)
+# containers nested deeper than this take the byte-level path
 _MAX_DEPTH = 64
+# containers nested deeper than this raise PdfError on the byte-level
+# path: it recurses twice per level, so the cap keeps it far below
+# Python's recursion limit (1000) even under Processor.MAX_DO_DEPTH
+# nested form XObjects, and the error is the same at any caller depth
+_MAX_NESTING = 200
 
 _HEX = {c: int(chr(c), 16) for c in b"0123456789abcdefABCDEF"}
 
@@ -222,9 +227,10 @@ class Lexer:
         self.pos = start
         return self._parse_object_bytes(allow_ref)
 
-    def _parse_object_bytes(self, allow_ref: bool = True):
+    def _parse_object_bytes(self, allow_ref: bool = True, depth: int = 0):
         """The byte-level parse: the fallback of `parse_object`, and the
-        reference the scanner is tested against."""
+        reference the scanner is tested against.  `depth` counts the
+        containers around the object; past _MAX_NESTING it raises."""
         self.skip_ws()
         buf, pos = self.buf, self.pos
         if pos >= self.end:
@@ -236,10 +242,10 @@ class Lexer:
             return self._parse_literal_string()
         if c == 0x3C:  # '<'
             if pos + 1 < self.end and buf[pos + 1] == 0x3C:
-                return self._parse_dict()
+                return self._parse_dict(depth)
             return self._parse_hex_string()
         if c == 0x5B:  # '['
-            return self._parse_array(allow_ref)
+            return self._parse_array(allow_ref, depth)
         if c == 0x5D:  # ']'
             raise PdfError("unexpected ]")
         if c in b"+-.0123456789":
@@ -347,24 +353,32 @@ class Lexer:
             raise PdfError(f"unterminated {what}")
         return False
 
-    def _parse_array(self, allow_ref: bool) -> list:
+    def _nest(self, depth: int) -> int:
+        if depth >= _MAX_NESTING:
+            raise PdfError(f"objects nested deeper than {_MAX_NESTING} "
+                           f"at {self.pos}")
+        return depth + 1
+
+    def _parse_array(self, allow_ref: bool, depth: int) -> list:
+        depth = self._nest(depth)
         out = []
         mark = self.pos
         self.pos += 1  # skip '['
         while not self._next_item(mark, b"]", "array"):
-            out.append(self._parse_object_bytes(allow_ref))
+            out.append(self._parse_object_bytes(allow_ref, depth))
             mark = self.pos
         return out
 
-    def _parse_dict(self) -> dict:
+    def _parse_dict(self, depth: int) -> dict:
+        depth = self._nest(depth)
         out = {}
         mark = self.pos
         self.pos += 2  # skip '<<'
         while not self._next_item(mark, b">>", "dict"):
-            key = self._parse_object_bytes()
+            key = self._parse_object_bytes(True, depth)
             if not isinstance(key, Name):
                 raise PdfError(f"dict key not a name: {key!r}")
-            out[bytes(key)] = self._parse_object_bytes()
+            out[bytes(key)] = self._parse_object_bytes(True, depth)
             mark = self.pos
         return out
 

@@ -66,13 +66,13 @@ def _build_spans_array(geometries) -> pa.ChunkedArray:
     Consecutive rows are grouped into chunks of about SPAN_CHUNK glyphs;
     a larger document is a chunk of its own.  One `resolve_span_columns`
     call per chunk places its glyphs, so a batch of small documents is
-    resolved in one numpy pass, and a large document's columns are
-    written over its own buffers.  The numpy columns become the struct's
-    children without a copy."""
+    resolved in one numpy pass and a large document in steps of its
+    own.  A geometry's glyph count is `len(geom.codes)`.  The numpy
+    columns become the struct's children without a copy."""
     from ..engine.devices import SPAN_CHUNK
     chunks, rows, glyphs = [], [], 0
     for geom in geometries:
-        n = len(geom.t4) if geom is not None else 0
+        n = len(geom.codes) if geom is not None else 0
         if rows and glyphs + n > SPAN_CHUNK:
             chunks.append(_spans_chunk(rows))
             rows, glyphs = [], 0
@@ -86,14 +86,14 @@ def _spans_chunk(rows) -> pa.Array:
     """One chunk of the spans column: `rows`' glyphs resolved together."""
     from ..engine.devices import resolve_span_columns
     offsets = np.zeros(len(rows) + 1, np.int32)
-    np.cumsum([len(g.t4) if g is not None else 0 for g in rows],
+    np.cumsum([len(g.codes) if g is not None else 0 for g in rows],
               out=offsets[1:])
     # pyarrow convention: a null at offsets[i] makes list element i null
     null = np.array([g is None for g in rows] + [False])
     struct = pa.StructArray.from_arrays(
         [pa.array(col, typ) for col, (_name, typ)
          in zip(resolve_span_columns(
-             [g for g in rows if g is not None and len(g.t4)]),
+             [g for g in rows if g is not None and len(g.codes)]),
                 _SPAN_FIELDS)],
         names=[name for name, _typ in _SPAN_FIELDS])
     return pa.ListArray.from_arrays(pa.array(offsets, mask=null), struct)

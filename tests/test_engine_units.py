@@ -214,7 +214,7 @@ class TestSqrtNan:
 
 class TestSpanResolve:
     """`resolve_span_columns` places glyphs in steps of SPAN_CHUNK glyphs,
-    over its own buffers for one document or a concatenation for several,
+    for one document or several at once, without changing its input,
     and the UDF groups rows into span chunks by the same budget.  None of
     that may show in the result; and non-finite geometry must not raise
     (the UDF resolves outside its per-row try)."""
@@ -234,10 +234,17 @@ class TestSpanResolve:
 
     @staticmethod
     def copy(geom):
+        """`geom`'s buffers, copied; each resolve must leave its input
+        as it is (`unchanged`)."""
         import array
 
         from pdf_extract_ray.engine.devices import SpanGeometry
         return SpanGeometry(*(array.array(b.typecode, b) for b in geom))
+
+    @staticmethod
+    def unchanged(geoms, copies):
+        return [tuple(map(bytes, g)) for g in geoms] == \
+            [tuple(map(bytes, g)) for g in copies]
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 64])
     def test_steps_and_grouping_are_invisible(self, budget, monkeypatch):
@@ -245,13 +252,15 @@ class TestSpanResolve:
 
         from pdf_extract_ray.engine import devices
         geoms = self.geometries()
-        whole = resolve_span_columns([self.copy(g) for g in geoms])
-        assert len(whole[0]) == sum(len(g.t4) for g in geoms) > 100
+        copies = [self.copy(g) for g in geoms]
+        whole = resolve_span_columns(geoms)
+        assert len(whole[0]) == sum(len(g.codes) for g in geoms) > 100
         monkeypatch.setattr(devices, "SPAN_CHUNK", budget)
-        stepped = resolve_span_columns([self.copy(g) for g in geoms])
-        # one document at a time, over its own buffers
+        stepped = resolve_span_columns(geoms)
+        # one document at a time
         alone = [np.concatenate(cols) for cols in zip(
-            *(resolve_span_columns([self.copy(g)]) for g in geoms))]
+            *(resolve_span_columns([g]) for g in geoms))]
+        assert self.unchanged(geoms, copies)
         for a, b, c in zip(whole, stepped, alone):
             assert a.dtype == b.dtype == c.dtype
             assert repr(a.tolist()) == repr(b.tolist()) == repr(c.tolist())

@@ -1,172 +1,43 @@
 """Glyph positions against an independent per-glyph reference.
 
-`show_text` folds a string's advances into t4/t5 sequences and the span
-columns are resolved later in numpy (`devices.resolve_span_columns`).
-These tests rebuild every glyph's (x, y) the way the reference does it
-(src/lib.rs:1276-1327): for each glyph `trm = tsm * (tm * ctm)`, then
-`tm = T(tx, 0) * tm`, and the device maps `trm` through the flip ctm.
-Every product is the full euclid product written out here, not the
-engine's `mul`.  The fixtures cover each branch the fast paths take:
-scaled and rotated `Tm`, a rotating `cm`, `Tz`/`Tc`/`Tw`/`Ts`, baselines
-at y = 0 and -0, TJ kerns of both signs and a 2-byte Identity-H font.
+`show_text` hands a device one record per text string, and the span
+columns are resolved later in numpy (`devices.resolve_span_columns`),
+which folds each run's advances into its glyphs' tm translations.
+These tests rebuild every glyph's (x, y, font size) the way the
+reference does it, glyph by glyph with full euclid products
+(tools/glyph_reference.py, which tools/fuzz_sweep.py also sweeps with
+seeded text-state soups).  The fixtures cover each branch the fast
+paths take: scaled and rotated `Tm`, a rotating `cm`, `Tz`/`Tc`/`Tw`/
+`Ts`, text-state changes between the strings of one text object and
+inside `q`/`Q`, baselines at y = 0 and -0 (with and without a rotated
+tm), TJ kerns of both signs, empty strings, a string longer than a span
+chunk and a 2-byte Identity-H font.
 """
-import struct
+import importlib.util
+import pathlib
 
 import pyarrow as pa
 import pytest
 
-from pdf_extract_ray.data.pdfgen import PdfBuilder, _single_page
 from pdf_extract_ray.engine.api import extract_text_and_spans_from_mem
 from pdf_extract_ray.pipelines.extract import ExtractBatch
 
-MEDIA_HEIGHT = 792.0
-FIRST_CHAR = 32
-# widths of codes 32..126: uneven integers and reals (parsed via float32)
-WIDTHS = [(c * 37) % 611 + 190 if c % 3 else (c * 53) % 587 + 133.7
-          for c in range(FIRST_CHAR, 127)]
-CID_WIDTHS = {0x41: 500, 0x42: 733.3, 0x43: 612}
-CID_DW = 1000
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _f32(v):
-    """A content-stream number as the lexer reads it."""
-    if isinstance(v, float):
-        return struct.unpack("<f", struct.pack("<f", v))[0]
-    return float(v)
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "glyph_reference", REPO / "tools" / "glyph_reference.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
-def _mul(a, b):
-    """euclid Transform2D::post_transform, every term kept."""
-    return (a[0] * b[0] + a[1] * b[2],
-            a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2],
-            a[2] * b[1] + a[3] * b[3],
-            a[4] * b[0] + a[5] * b[2] + b[4],
-            a[4] * b[1] + a[5] * b[3] + b[5])
-
-
-def _translation(tx, ty):
-    return (1.0, 0.0, 0.0, 1.0, tx, ty)
-
-
-IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-
-def _num(v):
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _serialize(ops):
-    out = []
-    for op, *args in ops:
-        if op == "Tf":
-            out.append(f"/{args[0]} {_num(args[1])} Tf")
-        elif op in ("Tj", "TJ"):
-            out.append(f"{_array(args[0]) if op == 'TJ' else _string(args[0])} "
-                       f"{op}")
-        else:
-            out.append(" ".join([*map(_num, args), op]))
-    return " ".join(out).encode()
-
-
-def _string(s):
-    if isinstance(s, bytes):  # 2-byte codes
-        return "<" + s.hex() + ">"
-    return "(" + s.replace("\\", "\\\\").replace("(", "\\(").replace(
-        ")", "\\)") + ")"
-
-
-def _array(items):
-    return "[" + " ".join(_string(e) if isinstance(e, (str, bytes))
-                          else _num(e) for e in items) + "]"
-
-
-def _reference_positions(ops):
-    """(x, y) of every glyph, in order, by the reference's chain."""
-    flip = (1.0, 0.0, 0.0, -1.0, 0.0, MEDIA_HEIGHT)
-    ctm, stack = IDENTITY, []
-    tm = tlm = IDENTITY
-    h, tc, tw, rise, fs, font = 1.0, 0.0, 0.0, 0.0, float("nan"), None
-    out = []
-
-    def show(s):
-        nonlocal tm
-        if isinstance(s, bytes):
-            codes = [(s[i] << 8 | s[i + 1], 2) for i in range(0, len(s), 2)]
-        else:
-            codes = [(ord(c), 1) for c in s]
-        for code, length in codes:
-            tsm = (h, 0.0, 0.0, 1.0, 0.0, rise)
-            trm = _mul(tsm, _mul(tm, ctm))
-            pos = _mul(trm, flip)
-            out.append((pos[4], pos[5]))
-            if font == "F1":
-                w0 = _f32(WIDTHS[code - FIRST_CHAR]) / 1000.0
-            else:
-                w0 = float(CID_WIDTHS.get(code, CID_DW))
-                w0 = _f32(w0) / 1000.0
-            spacing = tc + tw if (code == 32 and length == 1) else tc
-            tx = h * ((w0 - 0.0 / 1000.0) * fs + spacing)
-            tm = _mul(_translation(tx, 0.0), tm)
-
-    for op, *args in ops:
-        nums = [_f32(a) for a in args if isinstance(a, (int, float))]
-        if op == "q":
-            stack.append(ctm)
-        elif op == "Q":
-            ctm = stack.pop()
-        elif op == "cm":
-            ctm = _mul(tuple(nums), ctm)
-        elif op in ("BT", "ET"):
-            tm = tlm = IDENTITY
-        elif op == "Tm":
-            tm = tlm = tuple(nums)
-        elif op == "Td":
-            tm = tlm = _mul(_translation(*nums), tlm)
-        elif op == "Tf":
-            font, fs = args[0], _f32(args[1])
-        elif op == "Tz":
-            h = nums[0] / 100.0
-        elif op == "Tc":
-            tc = nums[0]
-        elif op == "Tw":
-            tw = nums[0]
-        elif op == "Ts":
-            rise = nums[0]
-        elif op == "Tj":
-            show(args[0])
-        elif op == "TJ":
-            for e in args[0]:
-                if isinstance(e, (str, bytes)):
-                    show(e)
-                else:
-                    tx = h * ((0.0 - _f32(e) / 1000.0) * fs)
-                    tm = _mul(_translation(tx, 0.0), tm)
-    return out
+G = _tool()
 
 
 def _pdf(ops):
-    b = PdfBuilder()
-    f1 = b.add(("<< /Type /Font /Subtype /Type1 /BaseFont /GeoSans "
-                f"/FirstChar {FIRST_CHAR} /LastChar 126 /Widths ["
-                + " ".join(_num(w) for w in WIDTHS) + "] >>").encode())
-    cmap = (b"1 begincodespacerange <0000> <ffff> endcodespacerange\n"
-            b"2 beginbfchar <0041> <0041> <0043> <2603> endbfchar\n")
-    cm = b.stream("<< >>", cmap)
-    desc = b.add(b"<< /Type /FontDescriptor /FontName /GeoCID /Flags 4 "
-                 b"/FontBBox [0 0 1000 1000] /ItalicAngle 0 /Ascent 800 "
-                 b"/Descent -200 /CapHeight 700 /StemV 80 >>")
-    w = " ".join(f"{c} [{_num(v)}]" for c, v in sorted(CID_WIDTHS.items()))
-    cid = b.add(f"<< /Type /Font /Subtype /CIDFontType2 /BaseFont /GeoCID "
-                f"/CIDSystemInfo << /Registry (Adobe) /Ordering (Identity) "
-                f"/Supplement 0 >> /FontDescriptor {desc} 0 R "
-                f"/DW {CID_DW} /W [{w}] >>".encode())
-    f2 = b.add(f"<< /Type /Font /Subtype /Type0 /BaseFont /GeoCID "
-               f"/Encoding /Identity-H /DescendantFonts [{cid} 0 R] "
-               f"/ToUnicode {cm} 0 R >>".encode())
-    root = _single_page(b, {"F1": f1, "F2": f2}, _serialize(ops),
-                        media_box=f"[0 0 612 {int(MEDIA_HEIGHT)}]")
-    return b.build(root)
+    return G.page_pdf(G.serialize(ops))
 
 
 CASES = {
@@ -208,6 +79,34 @@ CASES = {
                    ("TJ", [bytes.fromhex("0043"), 90,
                            bytes.fromhex("00410042")]),
                    ("ET",)],
+    # each change drops the text state's advance table; the last one
+    # goes back to the first state's table
+    "tc_tw_tz_between_strings": [
+        ("BT",), ("Tf", "F1", 12), ("Td", 40, 600), ("Tj", "ab c"),
+        ("Tc", 1.5), ("Tj", "ab c"), ("Tw", 3), ("Tj", "ab c"),
+        ("Tz", 50), ("Tj", "ab c"), ("Tf", "F1", 7), ("Tj", "ab c"),
+        ("Tc", 0), ("Tw", 0), ("Tz", 100), ("Tf", "F1", 12),
+        ("Tj", "ab c"), ("ET",)],
+    # q/Q save and restore the font, size, spacing and tm
+    "q_tf_tc_q": [("BT",), ("Tf", "F1", 12), ("Td", 72, 500),
+                  ("Tj", "abc "), ("q",), ("Tf", "F1", 20), ("Tc", 2),
+                  ("Tw", 5), ("Tj", "abc "), ("Q",), ("Tj", "abc "),
+                  ("q",), ("Tf", "F2", 9), ("Tj", bytes.fromhex("00410020")),
+                  ("Q",), ("Tj", "abc "), ("ET",)],
+    "empty_strings": [("BT",), ("Tf", "F1", 12), ("Td", 72, 700),
+                      ("Tj", ""), ("TJ", ["", -100, "a", "", 50, ""]),
+                      ("Tj", "b"), ("Tf", "F2", 12), ("Tj", b""),
+                      ("Tj", bytes.fromhex("0041")), ("ET",)],
+    # t5 == +-0 with t1 != 0: the t5 fold cannot be skipped
+    "t5_zero_rotated": [("BT",), ("Tf", "F1", 12),
+                        ("Tm", 0.8, 0.6, -0.6, 0.8, 72, 0),
+                        ("Tj", "slope up"),
+                        ("Tm", 0, 1, -1, 0, -0.0, -0.0), ("Tj", "upright"),
+                        ("Tm", 0.8, -0.6, 0.6, 0.8, 10, -0.0),
+                        ("Tj", "slope down"), ("ET",)],
+    # one string longer than a span chunk (devices.SPAN_CHUNK glyphs)
+    "long_run": [("BT",), ("Tf", "F1", 0.5), ("Tm", 1, 0, 0, 1, 0, 700),
+                 ("Tj", "ab cd" * 6600), ("Tj", "after"), ("ET",)],
 }
 
 
@@ -215,70 +114,63 @@ CASES = {
 def test_span_positions_match_reference_chain(name):
     ops = CASES[name]
     pdf = _pdf(ops)
-    want = _reference_positions(ops)
+    want = G.reference_spans(ops)
     _text, spans = extract_text_and_spans_from_mem(pdf)
     # repr: -0.0 and 0.0 differ, NaN equals NaN
-    assert repr([(x, y) for (_p, _s, _e, x, y, _fs) in spans]) == repr(want)
+    assert repr([(x, y, fs) for (_p, _s, _e, x, y, fs) in spans]) \
+        == repr(want)
     # the batch path: the UDF's Arrow spans column, with a second
     # document in the same batch
     batch = pa.table({"url": ["a", "b"],
                       "html": pa.array([_pdf(CASES["scaled_tm"]), pdf],
                                        pa.binary())})
     col = ExtractBatch(with_spans=True)(batch).column("spans").to_pylist()
-    assert repr([(s["x"], s["y"]) for s in col[1]]) == repr(want)
+    assert repr([(s["x"], s["y"], s["font_size"]) for s in col[1]]) \
+        == repr(want)
     assert repr([tuple(s.values()) for s in col[1]]) == repr(spans)
+
+
+def test_fold_adds_left_to_right():
+    """`show_text` folds a string's advances with `interpreter._fold`,
+    which must add one value at a time, left to right, as the per-glyph
+    chain does (CPython 3.12's `sum` compensates rounding; 3.11's does
+    not, and `_fold` picks `sum` only then)."""
+    import random
+    from functools import reduce
+    from operator import add
+
+    from pdf_extract_ray.engine.interpreter import _fold
+    rng = random.Random(5)
+    for _ in range(300):
+        xs = [rng.choice((1e16, -1e16, 1.0, 0.1, -0.0, 3.3e-5, 7.0,
+                          float("inf"))) * rng.random()
+              for _ in range(rng.randint(0, 30))]
+        start = rng.choice((0.0, -0.0, 1e16, 72.5))
+        assert repr(_fold(iter(xs), start)) == repr(reduce(add, xs, start))
+    assert _fold(iter([1e16, -1e16]), 1.0) == 0.0
+
+
+def test_long_run_spans_more_than_a_chunk():
+    from pdf_extract_ray.engine.devices import SPAN_CHUNK
+    assert len(G.reference_spans(CASES["long_run"])) > SPAN_CHUNK + 5
+
+
+def test_text_state_soups_match_reference_chain():
+    """tools/glyph_reference.py's seeded soups of text-state and show
+    ops over its five fonts (fuzz_sweep.py runs the same comparison)."""
+    import random
+    rng = random.Random(20261018)
+    assert [d for d in (G.soup_divergence(rng) for _ in range(150))
+            if d] == []
 
 
 # -- text runs -------------------------------------------------------------
 #
-# A 1-byte font whose shown codes each decode to one char hands the span
-# device a `GlyphRun` (`PdfFont.glyph_run`): the text comes from one
-# decode call and no per-glyph tuple or char list is built.  Its text and
-# SpanGeometry buffers must equal the per-glyph path's bit for bit.
-
-def _runs_pdf(content: bytes) -> bytes:
-    """One page with the fonts the run cases use:
-    F1 the widths font above; F2 Identity-H (2-byte codes);
-    F3 a ToUnicode mapping `A` to no char and `B` to two;
-    F4 Type3; F5 widths of +-1e308, whose advances overflow to +-inf."""
-    b = PdfBuilder()
-    widths = " ".join(_num(w) for w in WIDTHS)
-    f1 = b.add((f"<< /Type /Font /Subtype /Type1 /BaseFont /GeoSans "
-                f"/FirstChar {FIRST_CHAR} /LastChar 126 /Widths [{widths}] "
-                f">>").encode())
-    cmap = (b"1 begincodespacerange <0000> <ffff> endcodespacerange\n"
-            b"1 beginbfchar <0041> <0041> endbfchar\n")
-    desc = b.add(b"<< /Type /FontDescriptor /FontName /GeoCID /Flags 4 "
-                 b"/FontBBox [0 0 1000 1000] /ItalicAngle 0 /Ascent 800 "
-                 b"/Descent -200 /CapHeight 700 /StemV 80 >>")
-    cid = b.add(f"<< /Type /Font /Subtype /CIDFontType2 /BaseFont /GeoCID "
-                f"/CIDSystemInfo << /Registry (Adobe) /Ordering (Identity) "
-                f"/Supplement 0 >> /FontDescriptor {desc} 0 R /DW 600 >>"
-                .encode())
-    f2 = b.add(f"<< /Type /Font /Subtype /Type0 /BaseFont /GeoCID "
-               f"/Encoding /Identity-H /DescendantFonts [{cid} 0 R] "
-               f"/ToUnicode {b.stream('<< >>', cmap)} 0 R >>".encode())
-    lig = (b"1 begincodespacerange <00> <ff> endcodespacerange\n"
-           b"2 beginbfchar <41> <> <42> <00660066> endbfchar\n")
-    f3 = b.add(f"<< /Type /Font /Subtype /Type1 /BaseFont /LigSans "
-               f"/Encoding /WinAnsiEncoding /FirstChar {FIRST_CHAR} /LastChar 126 /Widths [{widths}] "
-               f"/ToUnicode {b.stream('<< >>', lig)} 0 R >>".encode())
-    glyph = b.stream("<< >>", b"0 0 750 750 re f")
-    enc = b.add(b"<< /Type /Encoding /Differences [97 /a /b /c /space] >>")
-    f4 = b.add(f"<< /Type /Font /Subtype /Type3 /FontBBox [0 0 750 750] "
-               f"/FontMatrix [0.001 0 0 0.001 0 0] /CharProcs << /a {glyph} "
-               f"0 R /b {glyph} 0 R /c {glyph} 0 R >> /Encoding {enc} 0 R "
-               f"/FirstChar 97 /LastChar 100 /Widths [750 512.5 333 250] >>"
-               .encode())
-    huge = 10 ** 308
-    f5 = b.add(f"<< /Type /Font /Subtype /Type1 /BaseFont /HugeSans "
-               f"/FirstChar 97 /LastChar 99 /Widths [{huge} {-huge} 500] >>"
-               .encode())
-    root = _single_page(b, {"F1": f1, "F2": f2, "F3": f3, "F4": f4,
-                            "F5": f5}, content,
-                        media_box=f"[0 0 612 {int(MEDIA_HEIGHT)}]")
-    return b.build(root)
-
+# A 1-byte font whose shown codes each decode to one char gives a
+# string's text in one decode call (`PdfFont.run_text`): no per-glyph
+# tuple or char list is built, and the span device records the codes.
+# Its text and resolved span columns must equal the per-glyph path's
+# bit for bit.  The fonts are tools/glyph_reference.py's `page_pdf`.
 
 def _warm(font: str, chars: str) -> bytes:
     """Show `chars` twice: the first string adds its codes to the glyph
@@ -346,33 +238,36 @@ RUN_STRINGS = {
 
 
 def _extract_runs(pdf, monkeypatch, runs: bool):
-    """(text, SpanGeometry buffers as bytes, strings the run path took),
-    with the run path on or off."""
+    """(text, resolved span columns as bytes, strings the run path
+    took), with the run path on or off."""
     from pdf_extract_ray.engine import fonts
     from pdf_extract_ray.engine.api import extract_text_and_span_columns_from_mem
+    from pdf_extract_ray.engine.devices import resolve_span_columns
     taken = []
-    glyph_run = fonts._Simple256Font.glyph_run
+    run_text = fonts._Simple256Font.run_text
 
     def spy(self, data):
-        run = glyph_run(self, data) if runs else None
-        if run is not None:
+        text = run_text(self, data) if runs else None
+        if text is not None:
             taken.append(bytes(data))
-        return run
+        return text
 
-    monkeypatch.setattr(fonts._Simple256Font, "glyph_run", spy)
+    monkeypatch.setattr(fonts._Simple256Font, "run_text", spy)
     text, geometry = extract_text_and_span_columns_from_mem(pdf)
-    return text, tuple(buf.tobytes() for buf in geometry), taken
+    columns = tuple((col.dtype.str, col.tobytes())
+                    for col in resolve_span_columns([geometry]))
+    return text, columns, taken
 
 
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
 def test_text_runs_match_per_glyph_path(name, monkeypatch):
-    pdf = _runs_pdf(RUN_CASES[name])
-    text, geometry, taken = _extract_runs(pdf, monkeypatch, runs=True)
-    want_text, want_geometry, none = _extract_runs(pdf, monkeypatch,
-                                                   runs=False)
+    pdf = G.page_pdf(RUN_CASES[name])
+    text, columns, taken = _extract_runs(pdf, monkeypatch, runs=True)
+    want_text, want_columns, none = _extract_runs(pdf, monkeypatch,
+                                                  runs=False)
     assert none == []
     assert text == want_text
-    assert geometry == want_geometry
+    assert columns == want_columns
     assert taken == RUN_STRINGS[name]
 
 
@@ -380,10 +275,10 @@ def test_text_run_fixture_values():
     """What two run cases show: a no-char and a two-char code in the
     text, and the NaN positions an infinite advance leaves."""
     text, spans = extract_text_and_spans_from_mem(
-        _runs_pdf(RUN_CASES["tounicode_0_2"]))
+        G.page_pdf(RUN_CASES["tounicode_0_2"]))
     assert text == "\n\nxyzxyz\n zyxyxyzffzyzyxffyx"
     _text, spans = extract_text_and_spans_from_mem(
-        _runs_pdf(RUN_CASES["inf_nan"]))
+        G.page_pdf(RUN_CASES["inf_nan"]))
     # an infinite advance turns the next glyphs' x and y to NaN (the six
     # warm-up glyphs at font size 12 stay finite)
     assert [(x != x, y != y) for (_p, _s, _e, x, y, _fs) in spans] == [

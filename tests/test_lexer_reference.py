@@ -13,9 +13,12 @@ unterminated containers and nesting past the recursion limit.
 
 The digests were computed with the byte-level parser that kept
 hand-inlined fast paths (a one-shot `N G R` regex, a byte lookahead,
-`bytes.fromhex` for hex strings).  The outcomes of nesting past the
-recursion limit depend on the stack depth at the call, so the records
-are computed in a fresh thread under a recursion limit of 1000.
+`bytes.fromhex` for hex strings), then re-pinned when nesting past
+`lexer._MAX_NESTING` became a PdfError (before, it ran into Python's
+recursion limit, at a level that moved with the caller's stack depth);
+an old-vs-new diff of the records showed that only the 600-deep
+`_EDGES` records changed.  The records are computed in a fresh thread
+under a recursion limit of 1000.
 """
 import hashlib
 import importlib.util
@@ -55,10 +58,7 @@ _EDGES = [
     b"<< /A 1  ", b"<< /A 1 %c", b"[ ", b"<< ", b"<< /A", b"<< /A 1 >",
     b"[" * 600, b"<<" * 600, b"[" * 600 + b"]" * 600,
 ]
-# nesting past the recursion limit with tokens or separators between the
-# openers: the level at which RecursionError is raised, hence its
-# position and whether its text ends in "while calling a Python object",
-# moves with the stack depth of the caller, so only the type is pinned
+# nesting past the cap with tokens or separators between the openers
 _DEEP = [b"<< /A " * 600, b"[ " * 600, b"[%c\n" * 600, b"[1 " * 600,
          b"\n[" * 600, b"[/N " * 600, b"<< /A 1 /B " * 600]
 
@@ -104,17 +104,51 @@ def _digest() -> str:
 
 
 REFERENCE_SHA256 = \
-    "f76a358bc5f3c138f3cc0ac99ddefa563d879cee852ed2a253e2bbc2a28157a8"
+    "ccad238443185e00dc25078442bca1690349bc95a7ef86cc73c71f6355c099d3"
 
 
 def test_reference_outcomes_pinned():
     assert _digest() == REFERENCE_SHA256
 
 
-def test_deep_nesting_raises_recursion_error():
-    for buf in _DEEP:
+def _under_frames(frames: int, fn):
+    """fn() called `frames` Python frames deeper, in a fresh thread under
+    a recursion limit of 1000."""
+    out = {}
+
+    def nest(k):
+        return nest(k - 1) if k else fn()
+
+    def run():
+        out["result"] = nest(frames)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+    finally:
+        sys.setrecursionlimit(limit)
+    return out["result"]
+
+
+def test_deep_nesting_raises_pdf_error_at_any_caller_depth():
+    """Nesting past `_MAX_NESTING` raises one PdfError -- same text, same
+    position -- whatever the caller's stack depth, up to a caller as
+    deep as `Processor.MAX_DO_DEPTH` nested form XObjects put it."""
+    from pdf_extract_ray.engine.interpreter import Processor
+    from pdf_extract_ray.engine.lexer import _MAX_NESTING
+    depths = list(range(12)) + [3 * Processor.MAX_DO_DEPTH + 100]
+    for buf in _DEEP + [b"[" * 600, b"<<" * 600, b"[" * 600 + b"]" * 600]:
         for allow_ref in (True, False):
             for parse in (Lexer.parse_object, Lexer._parse_object_bytes):
-                assert L._outcome(lambda lx: parse(lx, allow_ref),
-                                  Lexer(buf))[:2] == ("raised",
-                                                      "RecursionError")
+                outcomes = {_under_frames(k, lambda: L._outcome(
+                    lambda lx: parse(lx, allow_ref), Lexer(buf)))
+                    for k in depths}
+                assert len(outcomes) == 1, (buf[:12], outcomes)
+                (kind, exc, text, _pos), = outcomes
+                assert (kind, exc) == ("raised", "PdfError")
+                assert text.startswith(
+                    f"objects nested deeper than {_MAX_NESTING} at ")

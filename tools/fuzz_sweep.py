@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Extended engine fuzz sweep: every pdfgen generator, random byte
 mutations + truncations + cross-document splices, through three public
-extraction surfaces, the pipeline UDF (`ExtractBatch`, spans on) and
-the differential checks of the object lexer and the content-stream
-tokenizer, with a per-input SIGALRM watchdog.  The UDF must stay total:
-an exception escaping it counts as a hard crash.  So does a mutated
-object body, framing or content stream on which a token scanner and its
-byte-level parser disagree (tools/lexer_diff.py).
+extraction surfaces, the pipeline UDF (`ExtractBatch`, spans on), the
+differential checks of the object lexer and the content-stream
+tokenizer, and a text-state surface, with a per-input SIGALRM watchdog.
+The UDF must stay total: an exception escaping it counts as a hard
+crash.  A divergence is counted apart: a mutated object body, framing
+or content stream on which a token scanner and its byte-level parser
+disagree (tools/lexer_diff.py), or a seeded soup of text-state and show
+ops whose resolved span columns differ from the per-glyph reference
+chain (tools/glyph_reference.py; the soup's seed is the input's CRC-32).
 
 The engine must never hang or hard-crash on corrupt input (the pipeline
 UDF totalizes exceptions to error rows, but a hang stalls a whole
@@ -22,9 +25,11 @@ import random
 import signal
 import sys
 import time
+import zlib
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+import glyph_reference  # tools/glyph_reference.py, next to this script
 import lexer_diff  # tools/lexer_diff.py, next to this script
 import pdf_extract_ray.data.pdfgen as g
 from pdf_extract_ray.engine import extract_text_from_mem
@@ -42,7 +47,8 @@ class Escaped(Exception):
 
 
 class Diverged(Exception):
-    """A token scanner and its byte-level parser disagreed."""
+    """A token scanner and its byte-level parser disagreed, or the span
+    columns and the per-glyph reference chain."""
 
 
 def extract_batch(data: bytes):
@@ -93,6 +99,14 @@ def content_differential(data: bytes):
                            f"{diff!r:.300}")
 
 
+def text_state(data: bytes):
+    """A text-state soup seeded from the input: the engine's resolved
+    span columns against the per-glyph reference chain."""
+    diff = glyph_reference.soup_divergence(random.Random(zlib.crc32(data)))
+    if diff:
+        raise Diverged(f"{diff:.600}")
+
+
 def main() -> int:
     budget = int(sys.argv[1]) if len(sys.argv) > 1 else 420
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20260817
@@ -108,12 +122,12 @@ def main() -> int:
 
     signal.signal(signal.SIGALRM, lambda s, f: (_ for _ in ()).throw(Hang()))
     rng = random.Random(seed)
-    hangs = crashes = n = 0
+    hangs = crashes = divergences = n = 0
     per_surface = {}
     t_start = time.time()
     surfaces = [extract_text_from_mem, extract_text_from_mem_by_pages,
                 get_metadata, extract_batch, lexer_differential,
-                content_differential]
+                content_differential, text_state]
     while time.time() - t_start < budget:
         name, base = gens[rng.randrange(len(gens))]
         buf = bytearray(base)
@@ -141,7 +155,13 @@ def main() -> int:
             with open(path, "wb") as f:
                 f.write(data)
             print(f"HANG {name} via {fn.__name__} -> {path}")
-        except (RecursionError, MemoryError, Escaped, Diverged) as e:
+        except Diverged as e:
+            divergences += 1
+            path = f"/tmp/fuzz_divergence_{divergences}.bin"
+            with open(path, "wb") as f:
+                f.write(data)
+            print(f"Diverged {name} via {fn.__name__} -> {path}: {e}")
+        except (RecursionError, MemoryError, Escaped) as e:
             crashes += 1
             path = f"/tmp/fuzz_crash_{crashes}.bin"
             with open(path, "wb") as f:
@@ -152,8 +172,8 @@ def main() -> int:
         finally:
             signal.alarm(0)
     print(f"done: {n} inputs {per_surface}, hangs={hangs}, "
-          f"hard-crashes={crashes}")
-    return 1 if (hangs or crashes) else 0
+          f"hard-crashes={crashes}, divergences={divergences}")
+    return 1 if (hangs or crashes or divergences) else 0
 
 
 if __name__ == "__main__":
