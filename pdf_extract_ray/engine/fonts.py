@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import struct
-from array import array
 from codecs import charmap_decode
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -49,14 +48,12 @@ class AdvanceTable(list):
     """One text state's advances `h * (w0 * font_size + spacing)` by
     1-byte code (`_Simple256Font.advance_table`): 256 floats, of which
     the codes of the font's glyph table are filled, in the order they
-    were added to it, up to `filled` of them; `doubles` holds the same
-    values as a C array, which is what the span device records."""
+    were added to it, up to `filled` of them."""
 
-    __slots__ = ("filled", "doubles")
+    __slots__ = ("filled",)
 
 
 _NO_ADVANCES = [0.0] * 256
-_NO_ADVANCE_BYTES = bytes(8 * 256)
 
 
 # key of a per-font advance table: the bits of (horizontal scaling, font
@@ -301,14 +298,12 @@ class _Simple256Font(PdfFont):
                 tables.clear()
             table = tables[key] = AdvanceTable(_NO_ADVANCES)
             table.filled = 0
-            table.doubles = array("d", _NO_ADVANCE_BYTES)
         glyph_table = self.glyph_table
         if table.filled < len(glyph_table):
-            doubles = table.doubles
             # the glyph table only grows, in insertion order
             for code, (w0, _char, word_space) in islice(
                     glyph_table.items(), table.filled, None):
-                table[code] = doubles[code] = h * (w0 * font_size + (
+                table[code] = h * (w0 * font_size + (
                     space_spacing if word_space else char_spacing))
             table.filled = len(glyph_table)
         return table

@@ -152,12 +152,6 @@ class TextRun(NamedTuple):
 
 
 _new_run = tuple.__new__  # TextRun from a tuple, without the keyword pass
-# `_fold(xs, start)`: start + xs[0] + xs[1] + ..., one add at a time,
-# left to right.  CPython's `sum` does exactly that for floats before
-# 3.12, at twice the speed of `reduce`; from 3.12 on it compensates the
-# rounding error, which these three floats tell apart.
-_fold = (sum if sum([1.0, 1e16, -1e16]) == 0.0
-         else lambda xs, start: reduce(add, xs, start))
 _glyph_char = itemgetter(1)
 
 
@@ -221,9 +215,12 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
         w_last = glyphs[-1][0]
     tx = advances[last]
     t0, t1, t2, t3, t4, t5 = ts.tm
-    # tm = T(tx, 0) * tm: t4 += tx * t0, t5 += tx * t1 per glyph;
-    # tx * 1.0 == tx for every float, so an unscaled tm skips it
-    t4_last = _fold(txs if t0 == 1.0 else map(_fmul, txs, repeat(t0)), t4)
+    # tm = T(tx, 0) * tm: t4 += tx * t0, t5 += tx * t1 per glyph, one
+    # add at a time, left to right (`reduce`; `sum` compensates rounding
+    # from Python 3.12 on); tx * 1.0 == tx for every float, so an
+    # unscaled tm skips the multiply
+    t4_last = reduce(add, txs if t0 == 1.0 else map(_fmul, txs, repeat(t0)),
+                     t4)
     t4_end = t4_last + tx * t0
     if t1 == 0.0 and t5 != 0.0 and isfinite(t4_end):
         # a finite t4 fold had finite advances: every tx * t1 is a zero,
@@ -232,7 +229,7 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
     else:
         if codes is not None:
             head = map(get, head)
-        t5_last = _fold(map(_fmul, head, repeat(t1)), t5)
+        t5_last = reduce(add, map(_fmul, head, repeat(t1)), t5)
         t5_end = t5_last + tx * t1
     ctm = gs.ctm
     c0, c1, c2, c3, _c4, _c5 = ctm

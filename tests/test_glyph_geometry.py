@@ -11,7 +11,9 @@ paths take: scaled and rotated `Tm`, a rotating `cm`, `Tz`/`Tc`/`Tw`/
 `Ts`, text-state changes between the strings of one text object and
 inside `q`/`Q`, baselines at y = 0 and -0 (with and without a rotated
 tm), TJ kerns of both signs, empty strings, a string longer than a span
-chunk and a 2-byte Identity-H font.
+chunk, more text states than the span device keeps advance tables for,
+glyphs that decode to no char or to two, and a 2-byte Identity-H font.
+Each glyph's (start, end) must cover its decoded char in the text.
 """
 import importlib.util
 import pathlib
@@ -107,6 +109,18 @@ CASES = {
     # one string longer than a span chunk (devices.SPAN_CHUNK glyphs)
     "long_run": [("BT",), ("Tf", "F1", 0.5), ("Tm", 1, 0, 0, 1, 0, 700),
                  ("Tj", "ab cd" * 6600), ("Tj", "after"), ("ET",)],
+    # F3 decodes `A` to no char and `B` to "ff": glyph spans of 0 and
+    # 2 chars
+    "ligatures": [("BT",), ("Tf", "F3", 12), ("Td", 72, 700),
+                  ("Tj", "xAyBz"), ("TJ", ["BB", -120, "Ax"]),
+                  ("Tf", "F1", 12), ("Tj", "ab"), ("Tf", "F3", 12),
+                  ("Tj", "zAB "), ("ET",)],
+    # justified lines, a Tw each: more advance tables than the span
+    # device keeps (devices._MAX_TABLES), the first one shown again last
+    "tw_per_line": [("BT",), ("Tf", "F1", 10), ("Td", 72, 760)]
+    + [op for i in range(80) for op in (("Tw", i * 0.125), ("Td", 0, -9),
+                                        ("Tj", "a b c"))]
+    + [("Tw", 0), ("Tj", "a b c"), ("ET",)],
 }
 
 
@@ -115,10 +129,12 @@ def test_span_positions_match_reference_chain(name):
     ops = CASES[name]
     pdf = _pdf(ops)
     want = G.reference_spans(ops)
-    _text, spans = extract_text_and_spans_from_mem(pdf)
+    text, spans = extract_text_and_spans_from_mem(pdf)
     # repr: -0.0 and 0.0 differ, NaN equals NaN
     assert repr([(x, y, fs) for (_p, _s, _e, x, y, fs) in spans]) \
         == repr(want)
+    assert [text[s:e] for (_p, s, e, _x, _y, _fs) in spans] \
+        == G.glyph_chars(pdf)
     # the batch path: the UDF's Arrow spans column, with a second
     # document in the same batch
     batch = pa.table({"url": ["a", "b"],
@@ -130,29 +146,20 @@ def test_span_positions_match_reference_chain(name):
     assert repr([tuple(s.values()) for s in col[1]]) == repr(spans)
 
 
-def test_fold_adds_left_to_right():
-    """`show_text` folds a string's advances with `interpreter._fold`,
-    which must add one value at a time, left to right, as the per-glyph
-    chain does (CPython 3.12's `sum` compensates rounding; 3.11's does
-    not, and `_fold` picks `sum` only then)."""
-    import random
-    from functools import reduce
-    from operator import add
-
-    from pdf_extract_ray.engine.interpreter import _fold
-    rng = random.Random(5)
-    for _ in range(300):
-        xs = [rng.choice((1e16, -1e16, 1.0, 0.1, -0.0, 3.3e-5, 7.0,
-                          float("inf"))) * rng.random()
-              for _ in range(rng.randint(0, 30))]
-        start = rng.choice((0.0, -0.0, 1e16, 72.5))
-        assert repr(_fold(iter(xs), start)) == repr(reduce(add, xs, start))
-    assert _fold(iter([1e16, -1e16]), 1.0) == 0.0
-
-
 def test_long_run_spans_more_than_a_chunk():
     from pdf_extract_ray.engine.devices import SPAN_CHUNK
     assert len(G.reference_spans(CASES["long_run"])) > SPAN_CHUNK + 5
+
+
+def test_span_device_keeps_at_most_max_tables():
+    from pdf_extract_ray.engine.api import (
+        extract_text_and_span_columns_from_mem)
+    from pdf_extract_ray.engine.devices import _MAX_TABLES, _TABLE
+    _text, geom = extract_text_and_span_columns_from_mem(
+        _pdf(CASES["tw_per_line"]))
+    assert len(geom.tables) == _MAX_TABLES * _TABLE
+    # the runs past the cap record their advances, one per glyph
+    assert len(geom.advances) == (81 - _MAX_TABLES) * 5
 
 
 def test_text_state_soups_match_reference_chain():

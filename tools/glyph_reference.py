@@ -19,7 +19,8 @@ does.  `page_pdf(content)` is one page whose fonts the chain knows:
 `soup(rng)` draws a seeded content stream of BT/ET blocks with
 Tj/TJ/Tc/Tw/Tz/Ts/Tm/Td/Tf/cm/q/Q over those fonts, and
 `soup_divergence(rng)` compares the span columns the engine resolves
-(`devices.resolve_span_columns`) with the chain.  tests/
+(`devices.resolve_span_columns`) with the chain, and the text each
+glyph's span covers with its decoded char.  tests/
 test_glyph_geometry.py and tools/fuzz_sweep.py use this module; from the
 command line it sweeps N soups:
 
@@ -229,13 +230,31 @@ def reference_spans(ops):
 
 def engine_spans(pdf: bytes):
     """(x, y, font_size) of every glyph from the span columns the
-    pipeline resolves, and the extracted text."""
+    pipeline resolves, and the text each glyph's (start, end) covers."""
     from pdf_extract_ray.engine.api import extract_text_and_span_columns_from_mem
     from pdf_extract_ray.engine.devices import resolve_span_columns
     text, geometry = extract_text_and_span_columns_from_mem(pdf)
     cols = resolve_span_columns([geometry])
-    return list(zip(cols[3].tolist(), cols[4].tolist(), cols[5].tolist())), \
-        text
+    return (list(zip(cols[3].tolist(), cols[4].tolist(), cols[5].tolist())),
+            [text[s:e] for s, e in zip(cols[1].tolist(), cols[2].tolist())])
+
+
+def glyph_chars(pdf: bytes):
+    """Every glyph's decoded text, from per-glyph `output_character`
+    events (`OutputDev`'s own expansion of each text run)."""
+    from pdf_extract_ray.engine.api import load_document, output_doc
+    from pdf_extract_ray.engine.devices import OutputDev
+
+    class Chars(OutputDev):
+        def __init__(self):
+            self.chars = []
+
+        def output_character(self, trm, width, spacing, font_size, char):
+            self.chars.append(char)
+
+    dev = Chars()
+    output_doc(load_document(pdf), dev)
+    return dev.chars
 
 
 # -- text-state soups --------------------------------------------------------
@@ -330,13 +349,17 @@ def soup_divergence(rng):
     reference chain on one soup."""
     ops = soup(rng)
     want = reference_spans(ops)
-    got, _text = engine_spans(page_pdf(serialize(ops)))
+    pdf = page_pdf(serialize(ops))
+    got, covered = engine_spans(pdf)
     # repr: -0.0 and 0.0 differ, NaN equals NaN
     if repr(got) != repr(want):
         for i, (a, b) in enumerate(zip(got, want)):
             if repr(a) != repr(b):
                 return f"glyph {i}: engine {a!r} != reference {b!r} in {ops!r}"
         return f"{len(got)} glyphs != {len(want)} in {ops!r}"
+    chars = glyph_chars(pdf)
+    if covered != chars:
+        return f"glyph spans cover {covered!r}, not {chars!r} in {ops!r}"
     return None
 
 
