@@ -297,8 +297,7 @@ class SpanTextOutput(PlainTextOutput):
 
 
 # glyphs per resolve step, and padded cells per group of runs folded
-# together: bounds the temporaries of resolve_span_columns (and, in the
-# pipeline, how many small documents share one span chunk)
+# together: bounds the temporaries of resolve_span_columns
 SPAN_CHUNK = 1 << 15
 # padded cells `_fold_runs` may waste beyond one per value, in one array
 _FOLD_SLACK = 1 << 16
@@ -341,7 +340,11 @@ def _fold_runs(vals: np.ndarray, counts: np.ndarray) -> None:
     folds them all: one array for all runs when that wastes at most as
     many cells as it holds values (plus `_FOLD_SLACK`), else one per
     group of runs of similar length (sorted by length, at most
-    SPAN_CHUNK cells each, or one run)."""
+    SPAN_CHUNK cells each, or one run).  Both stay: the groups bound the
+    padding a few long runs among many short ones would cost, and
+    grouping every step instead took 1.13x (crawl_mix) and 1.18x
+    (large_pdfs) the span-build CPU of the single array (0/30 and 2/30
+    wins; `tools/inproc_ab.py --layer spans`, one shared core)."""
     if len(counts) * int(counts.max()) <= 2 * len(vals) + _FOLD_SLACK:
         valid = np.arange(int(counts.max())) < counts[:, None]
         grid = np.empty(valid.shape)  # pads are never read
@@ -468,20 +471,6 @@ def resolve_span_columns(geometries: Sequence[SpanGeometry]):
             ends[g:g_end] = start + lens
             r, g = r_end, g_end
     return pages, starts, ends, xs, ys, fss
-
-
-class PageTextOutput(PlainTextOutput):
-    """Collects per-page text (extract_text_by_pages helper for the
-    single-Processor path; the reference uses a fresh Processor per page —
-    see api.extract_text_from_mem_by_pages for that behavior)."""
-
-    def __init__(self):
-        super().__init__()
-        self.pages: List[str] = []
-
-    def end_page(self) -> None:
-        self.pages.append(self.get_text())
-        self.parts = []
 
 
 def insert_nbsp(text: str) -> str:

@@ -166,7 +166,7 @@ class PdfFont:
     """Abstract font (src/lib.rs:782-803)."""
 
     # 1-byte fonts: code -> Glyph of every code shown so far, in the
-    # order shown (`glyphs` fills it); None for CID fonts
+    # order shown (`run_text` and `glyphs` fill it); None for CID fonts
     glyph_table: Optional[Dict[int, Glyph]] = None
 
     def get_width(self, code: int) -> float:
@@ -202,9 +202,9 @@ class PdfFont:
                 for code, length in self.char_codes(data)]
 
     def run_text(self, data: bytes) -> Optional[str]:
-        """-> `data`'s text when the font knows, without looking its
-        glyphs up, that each decodes to one char; else None, and
-        `glyphs(data)` gives them."""
+        """-> the text of a non-empty string in one decode call when each
+        of its glyphs decodes to one char; else None, and `glyphs(data)`
+        gives them (always None for a font without 1-byte codes)."""
         return None
 
 
@@ -214,13 +214,11 @@ class _Simple256Font(PdfFont):
     encoding: Optional[List[int]]
     unicode_map: Optional[Dict[int, str]]
     widths: Dict[int, float]
-    # the glyph table's chars by code, set with it; _UNDEFINED for codes
-    # not in it yet and for codes that decode to no char or to several
+    # the glyph table's chars by code: _UNDEFINED for codes not in it
+    # and for codes that decode to no char or to several
     _chars: List[str]
-    # "".join(_chars), the table `run_text` decodes with; None until a
-    # string shows only codes the glyph table has, and again from the
-    # next code added to it until such a string comes by
-    _charmap: Optional[str] = None
+    # "".join(_chars), the table `run_text` decodes with
+    _charmap: str = _UNDEFINED * 256
     # advance key -> AdvanceTable
     _advance_tables: Optional[Dict[bytes, AdvanceTable]] = None
 
@@ -243,44 +241,48 @@ class _Simple256Font(PdfFont):
         enc = self.encoding if self.encoding is not None else PDFDOC_ENCODING
         return chr(enc[code & 0xFF])
 
-    def glyphs(self, data: bytes) -> List[Glyph]:
-        # Per-font table of the 256 codes, filled on first use of each
-        # code (filling codes a document never shows would raise errors it
-        # never hits, e.g. a Type3 code outside FirstChar..LastChar).
+    def _add_codes(self, data: bytes) -> None:
+        """Add `data`'s codes the glyph table does not have yet, in string
+        order, each width first and then char, so the first failing glyph
+        names the error (filling codes a document never shows would raise
+        errors it never hits, e.g. a Type3 code outside
+        FirstChar..LastChar); the charmap is rebuilt if a code that
+        decodes to one char joined."""
         table = self.glyph_table
         if table is None:
             table = self.glyph_table = {}
             self._chars = [_UNDEFINED] * 256
-        try:
-            glyphs = list(map(table.__getitem__, data))
-        except KeyError:
-            pass
-        else:
-            # the table has settled enough to show a whole string: the
-            # strings after it are worth decoding in one call
-            if self._charmap is None:
-                self._charmap = "".join(self._chars)
-            return glyphs
-        self._charmap = None
+        chars = self._chars
+        joined = False
         for code in data:
             if code not in table:
                 glyph = table[code] = (self.get_width(code) / 1000.0,
                                        self.decode_char(code), code == 32)
                 if len(glyph[1]) == 1:
-                    self._chars[code] = glyph[1]
-        return list(map(table.__getitem__, data))
+                    chars[code] = glyph[1]
+                    joined = True
+        if joined:
+            self._charmap = "".join(chars)
+
+    def glyphs(self, data: bytes) -> List[Glyph]:
+        self._add_codes(data)
+        return list(map(self.glyph_table.__getitem__, data))
 
     def run_text(self, data):
-        # one C call decodes the string, and fails on a code the glyph
-        # table does not have yet or that is not one char (`glyphs` then
-        # adds it or gives its glyphs)
+        # one C call decodes the string; on a code the charmap does not
+        # have, add the string's new codes and, if one of them joined
+        # the charmap, decode once more
         charmap = self._charmap
-        if charmap is None or not data:
-            return None
         try:
             return charmap_decode(data, "strict", charmap)[0]
         except UnicodeDecodeError:
-            return None
+            self._add_codes(data)
+        if self._charmap is not charmap:
+            try:
+                return charmap_decode(data, "strict", self._charmap)[0]
+            except UnicodeDecodeError:
+                pass
+        return None
 
     def advance_table(self, h, font_size, char_spacing,
                       space_spacing) -> AdvanceTable:

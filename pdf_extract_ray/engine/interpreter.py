@@ -181,6 +181,8 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
     font = ts.font
     if font is None:
         raise PdfError("show text with no font set")
+    if not s:
+        return
     text = font.run_text(s)
     char_lens = None
     if text is None:

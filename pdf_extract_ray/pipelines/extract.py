@@ -59,41 +59,24 @@ RESULT_SCHEMA = pa.schema([
 ])
 
 
-def _build_spans_array(geometries) -> pa.ChunkedArray:
-    """Rows' glyph geometries (`SpanGeometry`, or None) -> Arrow
-    list<struct>, None rows as null lists.
+def _build_spans_array(geometries) -> pa.Array:
+    """Rows' glyph geometries (`SpanGeometry`, or None) -> one Arrow
+    list<struct> array, None rows as null lists.
 
-    Consecutive rows are grouped into chunks of about SPAN_CHUNK glyphs;
-    a larger document is a chunk of its own.  One `resolve_span_columns`
-    call per chunk places its glyphs, so a batch of small documents is
-    resolved in one numpy pass and a large document in steps of its
-    own.  A geometry's glyph count is `len(geom.codes)`.  The numpy
-    columns become the struct's children without a copy."""
-    from ..engine.devices import SPAN_CHUNK
-    chunks, rows, glyphs = [], [], 0
-    for geom in geometries:
-        n = len(geom.codes) if geom is not None else 0
-        if rows and glyphs + n > SPAN_CHUNK:
-            chunks.append(_spans_chunk(rows))
-            rows, glyphs = [], 0
-        rows.append(geom)
-        glyphs += n
-    chunks.append(_spans_chunk(rows))
-    return pa.chunked_array(chunks, SPAN_TYPE)
-
-
-def _spans_chunk(rows) -> pa.Array:
-    """One chunk of the spans column: `rows`' glyphs resolved together."""
+    One `resolve_span_columns` call places the glyphs of all the rows
+    (it steps through them about SPAN_CHUNK glyphs at a time), and its
+    numpy columns become the struct's children without a copy.  A
+    geometry's glyph count is `len(geom.codes)`."""
     from ..engine.devices import resolve_span_columns
-    offsets = np.zeros(len(rows) + 1, np.int32)
-    np.cumsum([len(g.codes) if g is not None else 0 for g in rows],
+    offsets = np.zeros(len(geometries) + 1, np.int32)
+    np.cumsum([len(g.codes) if g is not None else 0 for g in geometries],
               out=offsets[1:])
     # pyarrow convention: a null at offsets[i] makes list element i null
-    null = np.array([g is None for g in rows] + [False])
+    null = np.array([g is None for g in geometries] + [False])
     struct = pa.StructArray.from_arrays(
         [pa.array(col, typ) for col, (_name, typ)
          in zip(resolve_span_columns(
-             [g for g in rows if g is not None and len(g.codes)]),
+             [g for g in geometries if g is not None and len(g.codes)]),
                 _SPAN_FIELDS)],
         names=[name for name, _typ in _SPAN_FIELDS])
     return pa.ListArray.from_arrays(pa.array(offsets, mask=null), struct)

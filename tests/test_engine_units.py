@@ -215,8 +215,8 @@ class TestSqrtNan:
 class TestSpanResolve:
     """`resolve_span_columns` places glyphs in steps of SPAN_CHUNK glyphs,
     for one document or several at once, without changing its input,
-    and the UDF groups rows into span chunks by the same budget.  None of
-    that may show in the result; and non-finite geometry must not raise
+    and the UDF resolves a batch's rows in one call.  None of that may
+    show in the result; and non-finite geometry must not raise
     (the UDF resolves outside its per-row try)."""
 
     def geometries(self):
@@ -266,18 +266,31 @@ class TestSpanResolve:
             assert repr(a.tolist()) == repr(b.tolist()) == repr(c.tolist())
 
     def test_udf_span_chunks_are_invisible(self, monkeypatch):
+        """The UDF resolves a batch's rows in one call, into one chunk:
+        each row equals its document resolved alone, whatever the step
+        (the default SPAN_CHUNK, 1 and 7 glyphs)."""
+        import pyarrow as pa
+
         from pdf_extract_ray.engine import devices
-        from pdf_extract_ray.pipelines.extract import _build_spans_array
+        from pdf_extract_ray.pipelines.extract import (_SPAN_FIELDS,
+                                                       SPAN_TYPE,
+                                                       _build_spans_array)
         geoms = self.geometries()
-        rows = [None] + [self.copy(g) for g in geoms[:8]] + [None] \
-            + [self.copy(g) for g in geoms[8:]]
-        one = _build_spans_array([g and self.copy(g) for g in rows])
-        assert one.num_chunks == 1
-        monkeypatch.setattr(devices, "SPAN_CHUNK", 7)
-        many = _build_spans_array(rows)
-        assert many.num_chunks > 5
-        assert repr(one.to_pylist()) == repr(many.to_pylist())
-        assert one.to_pylist()[0] is None and one.to_pylist()[9] is None
+        rows = [None] + geoms[:8] + [None] + geoms[8:]
+        copies = [g and self.copy(g) for g in rows]
+        names = [name for name, _typ in _SPAN_FIELDS]
+        alone = [g and [dict(zip(names, span)) for span in zip(
+            *(c.tolist() for c in resolve_span_columns([g])))]
+            for g in rows]
+        for budget in (devices.SPAN_CHUNK, 1, 7):
+            monkeypatch.setattr(devices, "SPAN_CHUNK", budget)
+            spans = _build_spans_array(rows)
+            assert isinstance(spans, pa.ListArray)
+            assert spans.type == SPAN_TYPE
+            assert self.unchanged(rows[1:9] + rows[10:],
+                                  copies[1:9] + copies[10:])
+            assert spans[0].as_py() is None and spans[9].as_py() is None
+            assert repr(spans.to_pylist()) == repr(alone), budget
 
     def test_non_finite_geometry_propagates_without_raising(self):
         import numpy as np

@@ -173,109 +173,132 @@ def test_text_state_soups_match_reference_chain():
 
 # -- text runs -------------------------------------------------------------
 #
-# A 1-byte font whose shown codes each decode to one char gives a
-# string's text in one decode call (`PdfFont.run_text`): no per-glyph
-# tuple or char list is built, and the span device records the codes.
-# Its text and resolved span columns must equal the per-glyph path's
-# bit for bit.  The fonts are tools/glyph_reference.py's `page_pdf`.
-
-def _warm(font: str, chars: str) -> bytes:
-    """Show `chars` twice: the first string adds its codes to the glyph
-    table, the second, all known codes, sets up the run path."""
-    return f"BT /{font} 12 Tf ({chars}) Tj ({chars}) Tj ET ".encode()
-
+# A 1-byte font gives the text of each string whose codes each decode to
+# one char in one decode call (`PdfFont.run_text`), the font's first
+# string included: no per-glyph tuple or char list is built, and the
+# span device records the codes.  Its text and resolved span columns
+# must equal the per-glyph path's bit for bit.  The fonts are
+# tools/glyph_reference.py's `page_pdf`.
 
 RUN_CASES = {
-    # t0 != 1, then t0 == 1; `z` and `Q` first show up after the run
-    # path is set up, which it is again after `(Qz)`
-    "first_seen_late": _warm("F1", "abc")
-    + b"BT /F1 12 Tf 2 0 0 2 72 700 Tm (cab) Tj 1 0 0 1 72 600 Tm (abc) Tj "
-      b"(abzc) Tj (zQ) Tj (Qz) Tj (zQa) Tj ET",
-    "rotated_t1": _warm("F1", "tiledupwar")
-    + b"BT /F1 11 Tf 0.8 0.6 -0.6 0.8 100 300 Tm (tilted) Tj "
-      b"0 1 -1 0 300 200 Tm (upward) Tj ET",
-    "t5_zero": _warm("F1", "on zer")
-    + b"BT /F1 12 Tf 1 0 0 1 72 0 Tm (on zero) Tj "
-      b"1 0 0 1 72 -0.0 Tm (zero) Tj 1 0 0 1 -0.0 -0.0 Tm (one) Tj ET",
-    "rise_spacing": _warm("F1", "upabc ")
-    + b"BT /F1 14 Tf 50 500 Td 5 Ts (up) Tj -2.5 Ts 1.5 Tc 3.25 Tw 80 Tz "
-      b"(a b  c) Tj ET",
-    "tj_kerning": _warm("F1", "Kernd zo")
-    + b"BT /F1 12 Tf 72 650 Td [(Ke) -250 (rn) 120 (ed) -1000.5 ( ) 0 "
-      b"(zero)] TJ 2 0 0 2 72 400 Tm [(Kerned) 500 ( zero) -77.7 (eKe)] TJ "
-      b"ET",
-    "scaled_cm": _warm("F1", "in acm")
-    + b"q 0.8 0.6 -0.6 0.8 100 50 cm BT /F1 11 Tf 72 600 Td (in a cm) Tj "
-      b"ET Q",
+    # t0 != 1, then t0 == 1; `z` and `Q` first show up in later strings
+    "first_seen_late":
+    b"BT /F1 12 Tf 2 0 0 2 72 700 Tm (cab) Tj 1 0 0 1 72 600 Tm (abc) Tj "
+    b"(abzc) Tj (zQ) Tj (Qz) Tj (zQa) Tj ET",
+    "rotated_t1":
+    b"BT /F1 11 Tf 0.8 0.6 -0.6 0.8 100 300 Tm (tilted) Tj "
+    b"0 1 -1 0 300 200 Tm (upward) Tj ET",
+    "t5_zero":
+    b"BT /F1 12 Tf 1 0 0 1 72 0 Tm (on zero) Tj "
+    b"1 0 0 1 72 -0.0 Tm (zero) Tj 1 0 0 1 -0.0 -0.0 Tm (one) Tj ET",
+    "rise_spacing":
+    b"BT /F1 14 Tf 50 500 Td 5 Ts (up) Tj -2.5 Ts 1.5 Tc 3.25 Tw 80 Tz "
+    b"(a b  c) Tj ET",
+    "tj_kerning":
+    b"BT /F1 12 Tf 72 650 Td [(Ke) -250 (rn) 120 (ed) -1000.5 ( ) 0 "
+    b"(zero)] TJ 2 0 0 2 72 400 Tm [(Kerned) 500 ( zero) -77.7 (eKe)] TJ "
+    b"ET",
+    "scaled_cm":
+    b"q 0.8 0.6 -0.6 0.8 100 50 cm BT /F1 11 Tf 72 600 Td (in a cm) Tj "
+    b"ET Q",
     # `A` (no char) and `B` (two) stay out of the decode table: the
     # strings that show them take `glyphs()`, the others the run path
-    "tounicode_0_2": _warm("F3", "xyz")
-    + b"BT /F3 12 Tf 72 700 Td (zyx) Tj (yA) Tj (xyz) Tj (B) Tj (zy) Tj "
-      b"(zy) Tj (xB) Tj (yx) Tj ET",
-    "type3": _warm("F4", "abc")
-    + b"BT /F4 12 Tf 72 700 Td (abc) Tj [(ab) -50 (dc)] TJ (cab) Tj "
-      b"(bad) Tj ET",
-    "type0": _warm("F1", "ab")
-    + b"BT /F2 12 Tf 72 700 Td <00410042> Tj <0041> Tj (hi) Tj (hi) Tj "
-      b"/F1 12 Tf (ab) Tj (ba) Tj ET",
+    "tounicode_0_2":
+    b"BT /F3 12 Tf 72 700 Td (zyx) Tj (yA) Tj (xyz) Tj (B) Tj (zy) Tj "
+    b"(zy) Tj (xB) Tj (yx) Tj ET",
+    "type3":
+    b"BT /F4 12 Tf 72 700 Td (abc) Tj [(ab) -50 (dc)] TJ (cab) Tj "
+    b"(bad) Tj ET",
+    "type0":
+    b"BT /F2 12 Tf 72 700 Td <00410042> Tj <0041> Tj (hi) Tj (hi) Tj "
+    b"/F1 12 Tf (ab) Tj (ba) Tj ET",
     # +-inf advances: t1 == 0 with an infinite sum takes the full t5 fold
     # (inf * 0.0 is NaN), and inf - inf is NaN in t4
-    "inf_nan": _warm("F5", "abc")
-    + b"BT /F5 20000 Tf 1 0 0 1 72 700 Tm (cac) Tj (ab) Tj (cc) Tj "
-      b"0.8 0.6 -0.6 0.8 10 10 Tm (ccb) Tj ET",
+    "inf_nan":
+    b"BT /F5 20000 Tf 1 0 0 1 72 700 Tm (cac) Tj (ab) Tj (cc) Tj "
+    b"0.8 0.6 -0.6 0.8 10 10 Tm (ccb) Tj ET",
 }
 
-# the strings after the warm-up that take the run path: every code was
-# in the glyph table, a string of known codes has come by since the
-# last code was added, and each of its codes decodes to one char (the
-# others take `glyphs()`)
-RUN_STRINGS = {
-    "first_seen_late": [b"cab", b"abc", b"zQa"],
-    "rotated_t1": [b"tilted", b"upward"],
-    "t5_zero": [b"on zero", b"zero", b"one"],
-    "rise_spacing": [b"up", b"a b  c"],
-    "tj_kerning": [b"Ke", b"rn", b"ed", b" ", b"zero", b"Kerned", b" zero",
-                   b"eKe"],
-    "scaled_cm": [b"in a cm"],
-    "tounicode_0_2": [b"zyx", b"zy", b"yx"],
-    "type3": [b"abc", b"ab", b"bad"],
-    "type0": [b"ab", b"ba"],
-    "inf_nan": [b"cac", b"ab", b"cc", b"ccb"],
-}
+
+def _one_char(font, data: bytes) -> bool:
+    return all(len(font.decode_char(code)) == 1 for code in data)
 
 
 def _extract_runs(pdf, monkeypatch, runs: bool):
-    """(text, resolved span columns as bytes, strings the run path
-    took), with the run path on or off."""
+    """(text, resolved span columns as bytes, strings the run path took,
+    strings a 1-byte font showed whose codes each decode to one char),
+    with the run path on or off."""
     from pdf_extract_ray.engine import fonts
     from pdf_extract_ray.engine.api import extract_text_and_span_columns_from_mem
     from pdf_extract_ray.engine.devices import resolve_span_columns
-    taken = []
+    taken, shown = [], []
     run_text = fonts._Simple256Font.run_text
 
     def spy(self, data):
         text = run_text(self, data) if runs else None
         if text is not None:
             taken.append(bytes(data))
+        shown.append((self, bytes(data)))
         return text
 
     monkeypatch.setattr(fonts._Simple256Font, "run_text", spy)
     text, geometry = extract_text_and_span_columns_from_mem(pdf)
     columns = tuple((col.dtype.str, col.tobytes())
                     for col in resolve_span_columns([geometry]))
-    return text, columns, taken
+    return text, columns, taken, [data for font, data in shown
+                                  if _one_char(font, data)]
 
 
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
 def test_text_runs_match_per_glyph_path(name, monkeypatch):
     pdf = G.page_pdf(RUN_CASES[name])
-    text, columns, taken = _extract_runs(pdf, monkeypatch, runs=True)
-    want_text, want_columns, none = _extract_runs(pdf, monkeypatch,
-                                                  runs=False)
+    text, columns, taken, _ = _extract_runs(pdf, monkeypatch, runs=True)
+    want_text, want_columns, none, one_char = _extract_runs(
+        pdf, monkeypatch, runs=False)
     assert none == []
     assert text == want_text
     assert columns == want_columns
-    assert taken == RUN_STRINGS[name]
+    assert taken == one_char and taken
+
+
+def test_one_char_strings_never_take_glyphs(monkeypatch):
+    """A 1-byte font's first string, and any string that brings new
+    codes, takes the run path when its codes each decode to one char:
+    over every pdfgen fixture and a crawl_mix workload, no such string
+    reaches `_Simple256Font.glyphs`."""
+    import sys
+
+    from pdf_extract_ray.data.pdfgen import PDF_GENERATORS
+    from pdf_extract_ray.engine import fonts
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    glyphs, runs, slow = fonts._Simple256Font.glyphs, [0], []
+
+    def spy(self, data):
+        if _one_char(self, data):
+            slow.append(bytes(data))
+        return glyphs(self, data)
+
+    def count(self, data):
+        runs[0] += 1
+        return run_text(self, data)
+
+    run_text = fonts._Simple256Font.run_text
+    monkeypatch.setattr(fonts._Simple256Font, "glyphs", spy)
+    monkeypatch.setattr(fonts._Simple256Font, "run_text", count)
+    names = sorted(PDF_GENERATORS)
+    table = pa.concat_tables([
+        pa.table({"url": names, "html": pa.array(
+            [PDF_GENERATORS[n]() for n in names], pa.binary())}),
+        gen.pages_table(gen.make_rows("crawl_mix", 3), 3).select(
+            ["url", "html"])])
+    udf = ExtractBatch(with_spans=True)
+    for off in range(0, table.num_rows, 64):
+        udf(table.slice(off, 64))
+    assert runs[0] > 2000 and slow == []
 
 
 def test_text_run_fixture_values():
@@ -283,13 +306,13 @@ def test_text_run_fixture_values():
     text, and the NaN positions an infinite advance leaves."""
     text, spans = extract_text_and_spans_from_mem(
         G.page_pdf(RUN_CASES["tounicode_0_2"]))
-    assert text == "\n\nxyzxyz\n zyxyxyzffzyzyxffyx"
+    assert text == "\n\nzyxyxyzffzyzyxffyx"
     _text, spans = extract_text_and_spans_from_mem(
         G.page_pdf(RUN_CASES["inf_nan"]))
-    # an infinite advance turns the next glyphs' x and y to NaN (the six
-    # warm-up glyphs at font size 12 stay finite)
+    # an infinite advance turns the next glyphs' x and y to NaN, until
+    # a Tm sets a finite translation again
     assert [(x != x, y != y) for (_p, _s, _e, x, y, _fs) in spans] == [
-        (False, False)] * 8 + [(True, True)] * 5 + [(False, False)] * 3
+        (False, False)] * 2 + [(True, True)] * 5 + [(False, False)] * 3
 
 
 def test_html_and_svg_output_unchanged():
