@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .devices import (OutputDev, PlainTextOutput, SpanGeometry,
-                      SpanTextOutput)
+from .devices import (SPAN_OVERFLOW, OutputDev, PlainTextOutput,
+                      SpanGeometry, SpanTextOutput, place_text)
 from .document import Document, load_document
 from .interpreter import Processor
 from .objects import (Name, PdfError, PdfString, Ref, maybe_deref,
@@ -172,21 +172,24 @@ def extract_text_and_spans_from_mem(buffer: bytes
     maybe_decrypt(doc)
     out = SpanTextOutput()
     output_doc(doc, out)
-    return out.get_text(), out.spans
+    (text,), columns = place_text([out.recorded()])
+    if text is None:
+        raise OverflowError(SPAN_OVERFLOW)
+    return text, list(zip(*(c.tolist() for c in columns)))
 
 
 def extract_text_and_span_columns_from_mem(buffer: bytes
-                                           ) -> Tuple[str, SpanGeometry]:
-    """Pipeline fast path: text + the unplaced glyph geometry
-    (`SpanGeometry`, one entry of `codes` per glyph) that
-    `devices.resolve_span_columns` turns into the span columns
-    (pages, starts, ends, xs, ys, font_sizes) — resolve many documents'
-    geometries in one call."""
+                                           ) -> Tuple[List[str], SpanGeometry]:
+    """Pipeline fast path: the document's unplaced text runs -- each
+    text string's text, and the glyph geometry (`SpanGeometry`, one
+    entry of `codes` per glyph) -- which `devices.place_text` turns into
+    the text and the span columns (pages, starts, ends, xs, ys,
+    font_sizes); place many documents' runs in one call."""
     doc = load_document(buffer)
     maybe_decrypt(doc)
     out = SpanTextOutput()
     output_doc(doc, out)
-    return out.get_text(), out.geometry()
+    return out.recorded()
 
 
 def get_metadata(buffer_or_doc) -> Dict[str, str]:

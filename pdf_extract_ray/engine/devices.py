@@ -4,31 +4,33 @@
 Text arrives one text string (a "run") at a time, as one
 `output_run(run)` call with a `interpreter.TextRun` record: the string's
 text, the scalars every device needs (transformed font size, the first
-and last glyph's tm translation, the last glyph's width) and what the
-other glyphs are placed from (the tm advance of each glyph, by 1-byte
-code or one per glyph).  No per-glyph matrix is built unless a device
-asks for it: `OutputDev`'s default `output_run` expands the record into
+glyph's tm translation, the last glyph's width) and what the other
+glyphs are placed from (the tm advance of each glyph, by 1-byte code or
+one per glyph).  No per-glyph matrix is built unless a device asks for
+it: `OutputDev`'s default `output_run` expands the record into
 `begin_word`, one `output_character` per glyph with its full
 text-rendering matrix, and `end_word`, which is what `HTMLOutput` and
 devices that override only `output_character` see.
 
 `PlainTextOutput` is the byte-parity-critical word/line reconstruction
-(src/lib.rs:2131-2200); it places a run from its scalars alone.
-`SpanTextOutput` produces identical text and records each run as one
-fixed-width record plus, per glyph, its code (`SpanGeometry`);
-`resolve_span_columns` turns one or many of them into the (page, start,
-end, x, y, font_size) span columns in numpy.
+(src/lib.rs:2131-2200); it places a run from its scalars and one fold of
+its advances (`interpreter.fold_run`), and returns the end tm.
+`SpanTextOutput` places nothing: it records each run's text, one
+fixed-width record and, per glyph, its code (`SpanGeometry`), and
+`place_text` places the runs of one or many documents in numpy: the
+same text as `PlainTextOutput`, and the (page, start, end, x, y,
+font_size) span columns.
 """
 from __future__ import annotations
 
 import array
 from itertools import accumulate, repeat
 from operator import mul as _fmul
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .interpreter import (TextRun, Transform, _sqrt_or_nan, mul,
+from .interpreter import (TextRun, Transform, _sqrt_or_nan, fold_run, mul,
                           transform_vector, translation)
 
 
@@ -40,7 +42,10 @@ class OutputDev:
     `output_character`, which the default `output_run` calls once per
     glyph with the glyph's full text-rendering matrix (between
     `begin_word` and `end_word`), or `output_run` itself to handle the
-    whole string in one call.
+    whole string in one call.  `output_run` may return the tm
+    translation after the run's last glyph (`interpreter.fold_run`'s
+    end pair), which saves the interpreter folding the run's advances
+    again when it reads tm; None leaves that to the interpreter.
     """
 
     def begin_page(self, page_num: int, media_box, art_box) -> None:
@@ -53,7 +58,7 @@ class OutputDev:
                          font_size: float, char: str) -> None:
         pass
 
-    def output_run(self, run: TextRun) -> None:
+    def output_run(self, run: TextRun) -> Optional[Tuple[float, float]]:
         """One text string's glyphs, in order (`interpreter.TextRun`
         says how glyph i is placed).  This default expands the record:
         glyph i gets the text-rendering matrix `(*run.linear, e4, e5)`
@@ -107,8 +112,8 @@ def _glyph_run(trm: Transform, width: float, spacing: float,
     for bit (x + -0.0 == x for every float x), and likewise
     e5 == trm[5]."""
     tvx, tvy = transform_vector(trm, font_size, font_size)
-    return TextRun(char, _sqrt_or_nan(tvx * tvy), -0.0, -0.0, -0.0, -0.0,
-                   width, (0.0, 0.0, 0.0, 0.0, trm[4], trm[5]), -0.0, -0.0,
+    return TextRun(char, _sqrt_or_nan(tvx * tvy), -0.0, -0.0, width,
+                   (0.0, 0.0, 0.0, 0.0, trm[4], trm[5]), -0.0, -0.0,
                    1, None, [0.0], None if len(char) == 1 else [len(char)],
                    1.0, 0.0, [(width, char, False)], trm[:4], font_size,
                    (spacing, spacing))
@@ -127,7 +132,8 @@ class PlainTextOutput(OutputDev):
     the per-glyph protocol (`begin_word`, `output_character`...,
     `end_word`) only the word's first glyph is placed.  Line breaks come
     ONLY from these y-delta rules; end_line is a no-op
-    (src/lib.rs:2196-2199).
+    (src/lib.rs:2196-2199).  `place_text` applies the same rules to
+    recorded runs in numpy.
     """
 
     def __init__(self):
@@ -152,12 +158,14 @@ class PlainTextOutput(OutputDev):
                         self.first_char)
         self.first_char = False
 
-    def output_run(self, run, first: bool = True) -> None:
+    def output_run(self, run, first: bool = True) -> Tuple[float, float]:
         """Append the run's text, after the separator the spacing rules
         give its first glyph when `first`, and move the line/word state
-        past its last glyph."""
-        (text, tfs, t4, t5, t4_last, t5_last, w_last,
-         (c0, c1, c2, c3, c4, c5), r4, r5) = run[:10]
+        past its last glyph.  -> the end tm translation, from the one
+        fold of the run's advances (`interpreter.fold_run`)."""
+        (text, tfs, t4, t5, w_last, (c0, c1, c2, c3, c4, c5), r4,
+         r5) = run[:8]
+        t4_last, t5_last, t4_end, t5_end = fold_run(run)
         # translation row of mul(trm, flip_ctm), inlined (only 4,5 used)
         f0, f1, f2, f3, f4, f5 = self.flip_ctm
         sep = ""
@@ -178,21 +186,28 @@ class PlainTextOutput(OutputDev):
         self.last_y = e4 * f1 + e5 * f3 + f5
         self.last_end = e4 * f0 + e5 * f2 + f4 + w_last * tfs
         self.parts.append(sep + text if sep else text)
+        return t4_end, t5_end
 
 
 # SpanTextOutput's per-run record: RUN_WIDTH doubles, in this order.
-# ADV >= 0: the run's glyphs are 1-byte codes into advance table ADV of
-# `SpanGeometry.tables`; ADV < 0: its advances are
-# `advances[-1 - ADV:][:n]`.  LENS: offset of the run's decoded lengths
-# in `char_len`, or -1 when each glyph decodes to one char.
-_RUN_FIELDS = ("page", "start", "n", "tfs", "c0", "c1", "c2", "c3", "c4",
+# TLEN: the length of the run's text.  ADV >= 0: the run's glyphs are
+# 1-byte codes into advance table ADV of `SpanGeometry.tables`;
+# ADV < 0: its advances are `advances[-1 - ADV:][:n]`.  LENS: offset of
+# the run's decoded lengths in `char_len`, or -1 when each glyph
+# decodes to one char.  W: the last glyph's width / 1000.  FIRST: 1 when
+# the spacing rules place the run's first glyph (a word's first).
+_RUN_FIELDS = ("page", "tlen", "n", "tfs", "c0", "c1", "c2", "c3", "c4",
                "c5", "r4", "r5", "f0", "f1", "f2", "f3", "f4", "f5", "t0",
-               "t1", "t4", "t5", "adv", "lens")
+               "t1", "t4", "t5", "adv", "lens", "w", "first")
 RUN_WIDTH = len(_RUN_FIELDS)
-(_PAGE, _START, _N, _TFS, _C0, _C1, _C2, _C3, _C4, _C5, _R4, _R5,
+(_PAGE, _TLEN, _N, _TFS, _C0, _C1, _C2, _C3, _C4, _C5, _R4, _R5,
  _F0, _F1, _F2, _F3, _F4, _F5, _T0, _T1, _T4, _T5, _ADV,
- _LENS) = range(RUN_WIDTH)
+ _LENS, _W, _FIRST) = range(RUN_WIDTH)
 _INT32_MAX = 2 ** 31 - 1
+SPAN_OVERFLOW = "span offsets exceed int32"
+# the separators the spacing rules put before a run, by
+# 2 * newlines + space
+_SEPS = ("", " ", "\n", "\n ", "\n\n", "\n\n ")
 # advances per table in SpanGeometry.tables (one per 1-byte code)
 _TABLE = 256
 # advance tables one SpanTextOutput keeps (2 KB each in the geometry);
@@ -209,9 +224,9 @@ class SpanGeometry(NamedTuple):
     other 1-byte runs index, `_TABLE` doubles each (at most
     `_MAX_TABLES`); the decoded lengths of the runs whose glyphs are
     not all one char; and per run one RUN_WIDTH-double
-    record (`_RUN_FIELDS`: page, text offset of the first glyph, glyph
-    count, transformed font size, ctm, rise terms, flip ctm, tm's
-    (t0, t1, t4, t5) at the first glyph, advance source, lengths)."""
+    record (`_RUN_FIELDS`: page, text length, glyph count, transformed
+    font size, ctm, rise terms, flip ctm, tm's (t0, t1, t4, t5) at the
+    first glyph, advance source, lengths, last width, first flag)."""
     codes: array.array
     advances: array.array
     tables: array.array
@@ -220,22 +235,22 @@ class SpanGeometry(NamedTuple):
 
 
 class SpanTextOutput(PlainTextOutput):
-    """PlainTextOutput + per-character span records:
-    (page, start, end, x, y, font_size) with start/end as offsets into the
-    final extracted text.  Text output is byte-identical to PlainTextOutput
-    by construction (it IS PlainTextOutput's logic).
+    """Records runs for `place_text`, which gives PlainTextOutput's text
+    and per-character span records (page, start, end, x, y, font_size)
+    with start/end as offsets into that text.
 
-    A run appends one fixed-width record to `runs` and its codes to
-    `codes` (a font without 1-byte codes: zeros there; it and a 1-byte
-    run whose advance table would be one past `_MAX_TABLES` append
-    their advances to `advances`), plus its decoded lengths if they are
-    not all 1; no glyph is placed here.  `geometry()` hands the buffers
-    over, and `resolve_span_columns` places the glyphs of one or many
-    documents in numpy.  The tuple-list `spans` property remains for
-    direct API users."""
+    A run appends its text to `texts`, one fixed-width record to
+    `runs` and its codes to `codes` (a font without 1-byte codes: zeros
+    there; it and a 1-byte run whose advance table would be one past
+    `_MAX_TABLES` append their advances to `advances`), plus its
+    decoded lengths if they are not all 1; nothing is placed here, and
+    the interpreter folds the run's advances only if it reads the end
+    tm.  `recorded()` hands the texts and buffers over.  `get_text()`
+    and the tuple-list `spans` property remain for direct API users."""
 
     def __init__(self):
         super().__init__()
+        self.texts: List[str] = []
         self._codes = array.array("B")
         self._advances = array.array("d")
         self._char_len = array.array("i")
@@ -244,16 +259,22 @@ class SpanTextOutput(PlainTextOutput):
         self._tables: List[list] = []
         self._table_index: Dict[int, int] = {}
         self._page = 0
-        self._len = 0
+
+    def get_text(self) -> str:
+        return place_text([self.recorded()], spans=False)[0][0]
 
     @property
     def spans(self) -> List[Tuple[int, int, int, float, float, float]]:
         return list(zip(*(c.tolist() for c in
                           resolve_span_columns([self.geometry()]))))
 
+    def recorded(self) -> Tuple[List[str], SpanGeometry]:
+        """(each run's text, the geometry), for `place_text`."""
+        return self.texts, self.geometry()
+
     def geometry(self) -> SpanGeometry:
-        """The recorded buffers, for `resolve_span_columns`, which
-        leaves them as they are."""
+        """The recorded buffers, which `place_text` and
+        `resolve_span_columns` leave as they are."""
         tables = array.array("d")
         for table in self._tables:
             tables.fromlist(table)
@@ -265,14 +286,9 @@ class SpanTextOutput(PlainTextOutput):
         self._page = page_num
 
     def output_run(self, run, first: bool = True) -> None:
-        PlainTextOutput.output_run(self, run, first)
-        (text, tfs, t4, t5, _t4_last, _t5_last, _w_last, ctm, r4, r5, n,
-         codes, advances, char_lens, t0, t1, _glyphs, _linear, _font_size,
-         _spacing) = run
-        end = self._len + len(self.parts[-1])
-        if end > _INT32_MAX:
-            raise OverflowError("span offsets exceed int32")
-        self._len = end
+        (text, tfs, t4, t5, w_last, ctm, r4, r5, n, codes, advances,
+         char_lens, t0, t1, _glyphs, _linear, _font_size, _spacing) = run
+        self.texts.append(text)
         if codes is None:
             self._codes.frombytes(bytes(n))
             adv = None
@@ -292,12 +308,13 @@ class SpanTextOutput(PlainTextOutput):
         else:
             lens = len(self._char_len)
             self._char_len.fromlist(char_lens)
-        self._runs.fromlist([self._page, end - len(text), n, tfs, *ctm, r4,
-                             r5, *self.flip_ctm, t0, t1, t4, t5, adv, lens])
+        self._runs.fromlist([self._page, len(text), n, tfs, *ctm, r4, r5,
+                             *self.flip_ctm, t0, t1, t4, t5, adv, lens,
+                             w_last, first])
 
 
 # glyphs per resolve step, and padded cells per group of runs folded
-# together: bounds the temporaries of resolve_span_columns
+# together: bounds the temporaries of _place
 SPAN_CHUNK = 1 << 15
 # padded cells `_fold_runs` may waste beyond one per value, in one array
 _FOLD_SLACK = 1 << 16
@@ -373,47 +390,82 @@ def _fold_runs(vals: np.ndarray, counts: np.ndarray) -> None:
         lo = hi
 
 
-def resolve_span_columns(geometries: Sequence[SpanGeometry]):
-    """Place every glyph of `geometries`, in order, and return the span
-    columns: page, start, end (int32) and x, y, font_size (float64).
+def _xy(t4, t5, field):
+    """Glyphs' tm translations -> their (x, y), in place in (t4, t5),
+    which it returns.  `field(f)` is run field f per glyph (or one
+    scalar).  Each float is the same IEEE operation on the same
+    operands, in the same order, as `OutputDev.output_run`'s trm
+    followed by the translation row of `mul(trm, flip_ctm)`:
+    e4 = r4 + ((t4 * c0 + t5 * c2) + c4), e5 likewise,
+    x = (e4 * f0 + e5 * f2) + f4, y likewise (the in-place adds swap
+    operands, which IEEE addition allows)."""
+    e4, e5 = t4 * field(_C0), t4 * field(_C1)
+    e4 += t5 * field(_C2)
+    e5 += t5 * field(_C3)
+    e4 += field(_C4)
+    e5 += field(_C5)
+    e4 += field(_R4)
+    e5 += field(_R5)
+    np.multiply(e4, field(_F0), out=t4)
+    t4 += e5 * field(_F2)
+    t4 += field(_F4)
+    np.multiply(e4, field(_F1), out=t5)
+    t5 += e5 * field(_F3)
+    t5 += field(_F5)
+    return t4, t5
+
+
+def _place(geometries: Sequence[SpanGeometry], spans: bool):
+    """Place every run of `geometries`, in order: -> (each run's
+    separator, as an index into `_SEPS`; each document's text length;
+    the span columns page, start, end (int32) and x, y, font_size
+    (float64) when `spans`, else None).
 
     A run's glyphs' tm translations (t4, t5) are rebuilt from its first
     glyph's and the glyphs' advances: glyph j + 1's is glyph j's plus
     its advance times (t0, t1), one add at a time, left to right
-    (`_fold_runs`), as `interpreter.show_text` folds them.  Then each
-    float is the same IEEE operation on the same operands, in the same
-    order, as `OutputDev.output_run`'s trm followed by the translation
-    row of `mul(trm, flip_ctm)`.  Two shortcuts give the same bits as
-    the general path and each save 10-30% of this function's time on
-    the benchmark's documents: a run field with the same bits in every
-    run of a step enters as a scalar, and t5 stays put in a run with
-    t1 == 0, t5 != 0 and finite advances (the fold would add only
-    zeros, and t5 + (+-0.0) == t5), as in `show_text`.  Runs are
-    placed in steps of about SPAN_CHUNK glyphs, so temporaries stay
-    bounded however large the input.  The input buffers are left as
-    they are.  It cannot raise on buffers a SpanTextOutput recorded:
-    NaN and inf propagate as they do in Python."""
+    (`_fold_runs`), as `interpreter.fold_run` folds them; `_xy` maps
+    them to (x, y).  Without `spans`, only each run's first and last
+    glyph are mapped.  Two shortcuts give the same bits as the general
+    path and each save 10-30% of the span resolve on the benchmark's
+    documents: a run field with the same bits in every run of a step
+    enters as a scalar, and t5 stays put in a run with t1 == 0,
+    t5 != 0 and finite advances (the fold would add only zeros, and
+    t5 + (+-0.0) == t5), as in `fold_run`.  Runs are folded in steps
+    of about SPAN_CHUNK glyphs, so temporaries stay bounded however
+    large the input.
+
+    Then PlainTextOutput's spacing rules place each run by its first
+    glyph against the previous run's last, all runs at once, from
+    `last_end = 100000.0` and `last_y = 0.0` at a document's first
+    run.  The input buffers are left as they are.  It cannot raise on
+    buffers a SpanTextOutput recorded: NaN and inf propagate as they
+    do in Python, and compare false."""
     codes, pool, char_len, runs, base, is_code, lens_at = _concat(
         geometries)
     counts = runs[:, _N].astype(np.int64)
     run_ends = np.cumsum(counts)
-    n = len(codes)
-    pages = np.empty(n, np.int32)
-    starts = np.empty(n, np.int32)
-    ends = np.empty(n, np.int32)
-    xs = np.empty(n, np.float64)
-    ys = np.empty(n, np.float64)
-    fss = np.empty(n, np.float64)
+    n, n_runs = len(codes), len(runs)
+    # (x, y) of each run's first glyph and of its last
+    x0, y0, x1, y1 = np.empty((4, n_runs))
+    if spans:
+        pages = np.empty(n, np.int32)
+        starts = np.empty(n, np.int32)
+        ends = np.empty(n, np.int32)
+        xs = np.empty(n, np.float64)
+        ys = np.empty(n, np.float64)
+        fss = np.empty(n, np.float64)
     bits = runs.view(np.int64)
     r = g = 0
     with np.errstate(all="ignore"):
-        while r < len(runs):
+        while r < n_runs:
             # the next runs of about SPAN_CHUNK glyphs (at least one run)
             r_end = max(r + 1, int(np.searchsorted(run_ends, g + SPAN_CHUNK,
                                                    side="right")))
             g_end = int(run_ends[r_end - 1])
             step, c = runs[r:r_end], counts[r:r_end]
             first = run_ends[r:r_end] - c - g  # in the step
+            last = first + c - 1
             same = (bits[r:r_end] == bits[r]).all(axis=0)
 
             def field(f):
@@ -426,7 +478,8 @@ def resolve_span_columns(geometries: Sequence[SpanGeometry]):
             tx = pool[np.repeat(base[r:r_end], c) + np.where(
                 np.repeat(is_code[r:r_end], c), codes[g:g_end], j)]
             # the tm translation: a run's first glyph's, then the fold
-            t4, t5 = xs[g:g_end], ys[g:g_end]
+            t4, t5 = ((xs[g:g_end], ys[g:g_end]) if spans
+                      else np.empty((2, g_end - g)))
             t4[1:] = (tx * field(_T0))[:-1]
             t4[first] = step[:, _T4]
             _fold_runs(t4, c)
@@ -441,36 +494,107 @@ def resolve_span_columns(geometries: Sequence[SpanGeometry]):
                     t5[:] = np.where(np.repeat(fold5, c), t5, field(_T5))
             else:
                 t5[:] = field(_T5)
-            # x/y over t4/t5: e4 = r4 + ((t4 * c0 + t5 * c2) + c4), e5
-            # likewise, x = (e4 * f0 + e5 * f2) + f4, y likewise (the
-            # in-place adds swap operands, which IEEE addition allows)
-            e4, e5 = t4 * field(_C0), t4 * field(_C1)
-            e4 += t5 * field(_C2)
-            e5 += t5 * field(_C3)
-            e4 += field(_C4)
-            e5 += field(_C5)
-            e4 += field(_R4)
-            e5 += field(_R5)
-            np.multiply(e4, field(_F0), out=t4)
-            t4 += e5 * field(_F2)
-            t4 += field(_F4)
-            np.multiply(e4, field(_F1), out=t5)
-            t5 += e5 * field(_F3)
-            t5 += field(_F5)
+            if not spans:
+                def run_field(f):
+                    return step[:, f]
+                x0[r:r_end], y0[r:r_end] = _xy(t4[first], t5[first],
+                                               run_field)
+                x1[r:r_end], y1[r:r_end] = _xy(t4[last], t5[last],
+                                               run_field)
+                r, g = r_end, g_end
+                continue
+            _xy(t4, t5, field)
+            x0[r:r_end], y0[r:r_end] = t4[first], t5[first]
+            x1[r:r_end], y1[r:r_end] = t4[last], t5[last]
             fss[g:g_end] = field(_TFS)
             pages[g:g_end] = field(_PAGE)
-            # a glyph starts at its run's text offset plus the decoded
-            # lengths of the run's earlier glyphs (1 each in a run
-            # without lengths)
+            # a glyph starts at the decoded lengths of its run's earlier
+            # glyphs (1 each in a run without lengths) past the run's
+            # text offset, which the placement below adds
             lens = np.ones(g_end - g, np.int64)
             sel = np.repeat(lens_at[r:r_end] >= 0, c)
             lens[sel] = char_len[(np.repeat(lens_at[r:r_end], c) + j)[sel]]
             before = np.cumsum(lens) - lens
-            starts[g:g_end] = start = before + np.repeat(
-                step[:, _START].astype(np.int64) - before[first], c)
+            starts[g:g_end] = start = before - np.repeat(before[first], c)
             ends[g:g_end] = start + lens
             r, g = r_end, g_end
-    return pages, starts, ends, xs, ys, fss
+        # the line/word state each run meets: the previous run's last
+        # glyph's, or the device's first at a document's first run
+        tfs = runs[:, _TFS]
+        doc_runs = np.array([len(geom.runs) // RUN_WIDTH
+                             for geom in geometries], np.int64)
+        doc_first = np.cumsum(doc_runs) - doc_runs
+        last_y, last_end = np.empty((2, n_runs))
+        last_y[1:] = y1[:-1]
+        last_end[1:] = (x1 + runs[:, _W] * tfs)[:-1]
+        heads = doc_first[doc_runs > 0]
+        last_y[heads] = 0.0
+        last_end[heads] = 100000.0
+        dy = np.abs(y0 - last_y)
+        placed = runs[:, _FIRST] != 0.0
+        newlines = (placed & (dy > tfs * 1.5)).astype(np.int64)
+        newlines += placed & (x0 < last_end) & (dy > tfs * 0.5)
+        space = placed & (x0 > last_end + tfs * 0.1)
+    sep_len = newlines + space
+    # each run's text offset in its document's text
+    run_end = np.cumsum(sep_len + runs[:, _TLEN].astype(np.int64))
+    doc_at = np.concatenate([[0], run_end])[
+        np.append(doc_first, n_runs)]
+    doc_len = np.diff(doc_at)
+    columns = None
+    if spans:
+        run_start = (run_end - runs[:, _TLEN].astype(np.int64)
+                     - np.repeat(doc_at[:-1], doc_runs))
+        shift = np.repeat(run_start.astype(np.int32), counts)
+        starts += shift
+        ends += shift
+        columns = (pages, starts, ends, xs, ys, fss)
+    return 2 * newlines + space, doc_len, columns
+
+
+def place_text(docs: Sequence[Tuple[List[str], SpanGeometry]],
+               spans: bool = True):
+    """Place the recorded runs of one or many documents (each a pair of
+    its runs' texts and its `SpanGeometry`, as `SpanTextOutput.recorded`
+    and `api.extract_text_and_span_columns_from_mem` return them) in
+    one `_place` call: -> (each document's text, byte-identical to
+    `PlainTextOutput`'s; the span columns of all documents' glyphs in
+    order, when `spans`, else None).
+
+    With `spans`, a document whose text is longer than an int32 offset
+    reaches gets None for its text and no spans (`SPAN_OVERFLOW`); the
+    other documents are unaffected."""
+    geometries = [geom for _texts, geom in docs]
+    sep, doc_len, columns = _place(geometries, spans)
+    seps = list(map(_SEPS.__getitem__, sep.tolist()))
+    over = (doc_len > _INT32_MAX).tolist() if spans else [False] * len(docs)
+    texts, at = [], 0
+    for (run_texts, _geom), too_long in zip(docs, over):
+        k = len(run_texts)
+        if too_long:
+            texts.append(None)
+        else:
+            parts = [""] * (2 * k)
+            parts[::2] = seps[at:at + k]
+            parts[1::2] = run_texts
+            texts.append("".join(parts))
+        at += k
+    if any(over):
+        keep = np.repeat(~np.array(over),
+                         [len(geom.codes) for geom in geometries])
+        columns = tuple(col[keep] for col in columns)
+    return texts, columns
+
+
+def resolve_span_columns(geometries: Sequence[SpanGeometry]):
+    """The span columns of `geometries` (`place_text` without the
+    texts): page, start, end (int32) and x, y, font_size (float64).
+    Raises OverflowError if a document's text is longer than an int32
+    offset reaches."""
+    _sep, doc_len, columns = _place(geometries, True)
+    if (doc_len > _INT32_MAX).any():
+        raise OverflowError(SPAN_OVERFLOW)
+    return columns
 
 
 def insert_nbsp(text: str) -> str:

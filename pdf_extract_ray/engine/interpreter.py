@@ -59,9 +59,13 @@ def _sqrt_or_nan(v: float) -> float:
 
 class TextState:
     # `advances`: the font's `AdvanceTable` for this font, size, Tc, Tw
-    # and Tz, set by `show_text` and dropped by Tf, Tc, Tw and Tz
+    # and Tz, set by `show_text` and dropped by Tf, Tc, Tw and Tz.
+    # `pending`: the last shown `TextRun` whose advances `tm` does not
+    # include yet (tm is still the one at its first glyph), or None;
+    # `settled_tm` folds it in, and an op that sets tm drops it
     __slots__ = ("font", "font_size", "character_spacing", "word_spacing",
-                 "horizontal_scaling", "leading", "rise", "tm", "advances")
+                 "horizontal_scaling", "leading", "rise", "tm", "advances",
+                 "pending")
 
     def __init__(self):
         self.font: Optional[PdfFont] = None
@@ -73,6 +77,15 @@ class TextState:
         self.rise = 0.0
         self.tm: Transform = IDENTITY
         self.advances = None
+        self.pending: Optional[TextRun] = None
+
+    def settled_tm(self) -> Transform:
+        """tm, with the pending run's advances folded in (`fold_run`)."""
+        run = self.pending
+        if run is not None:
+            self.pending = None
+            self.tm = self.tm[:4] + fold_run(run)[2:]
+        return self.tm
 
     def clone(self) -> "TextState":
         c = TextState.__new__(TextState)
@@ -116,9 +129,10 @@ class TextRun(NamedTuple):
     r5 + (t4_i * c1 + t5_i * c3 + c5))` with `(c0, ..., c5) = ctm`,
     where `(t4_0, t5_0) = (t4, t5)` and, with glyph i's advance `tx_i`,
     `t4_{i+1} = t4_i + tx_i * t0` and `t5_{i+1} = t5_i + tx_i * t1`
-    (one add after the other, in glyph order).  `(t4_last, t5_last)`
-    are the last glyph's, `w_last` its width / 1000, and `tfs` the
-    transformed font size `sqrt(tvx * tvy)` (NaN when negative) of
+    (one add after the other, in glyph order; `fold_run` gives the last
+    glyph's and the end tm's).  `w_last` is the last glyph's
+    width / 1000, and `tfs` the transformed font size
+    `sqrt(tvx * tvy)` (NaN when negative) of
     `(tvx, tvy) = transform_vector(linear, font_size, font_size)`.
 
     With a 1-byte font, `codes` are the string's codes, and glyph i is
@@ -133,8 +147,6 @@ class TextRun(NamedTuple):
     tfs: float
     t4: float
     t5: float
-    t4_last: float
-    t5_last: float
     w_last: float
     ctm: Transform
     r4: float
@@ -153,26 +165,65 @@ class TextRun(NamedTuple):
 
 _new_run = tuple.__new__  # TextRun from a tuple, without the keyword pass
 _glyph_char = itemgetter(1)
+# a run's t4, t5, codes, advances, t0, t1
+_fold_fields = itemgetter(2, 3, 9, 10, 12, 13)
+
+
+def fold_run(run: TextRun) -> Tuple[float, float, float, float]:
+    """-> (t4, t5) of the run's last glyph, then of the tm after it.
+
+    The reference's `tm = T(tx, 0) * tm` per glyph: t4 += tx * t0 and
+    t5 += tx * t1, one add at a time, left to right (`reduce`; `sum`
+    compensates rounding from Python 3.12 on).  Only the run's own
+    fields are read, so a text-state change after the run was shown
+    cannot move the result.  tx * 1.0 == tx for every float, so an
+    unscaled tm skips the multiply; a finite t4 fold had finite
+    advances, so with t1 == 0 every tx * t1 is a zero, and
+    t5 + (+-0.0) == t5 when t5 != 0."""
+    t4, t5, codes, advances, t0, t1 = _fold_fields(run)
+    if codes is not None:
+        head, last = codes[:-1], codes[-1]
+        get = advances.__getitem__
+        txs = map(get, head)
+    else:
+        txs = head = advances[:-1]
+        last = -1
+    tx = advances[last]
+    t4_last = reduce(add, txs if t0 == 1.0 else map(_fmul, txs, repeat(t0)),
+                     t4)
+    t4_end = t4_last + tx * t0
+    if t1 == 0.0 and t5 != 0.0 and isfinite(t4_end):
+        return t4_last, t5, t4_end, t5
+    if codes is not None:
+        head = map(get, head)
+    t5_last = reduce(add, map(_fmul, head, repeat(t1)), t5)
+    return t4_last, t5_last, t4_end, t5_last + tx * t1
 
 
 def show_text(gs: GraphicsState, s: bytes, output) -> None:
     """Show one text string (src/lib.rs:1276-1327): one
-    `output.output_run(TextRun)` if it has glyphs, then advance tm.
+    `output.output_run(TextRun)` if it has glyphs, which leaves the
+    string's advances pending in tm.
 
     The reference builds each glyph's text-rendering matrix
     `trm = tsm * tm * ctm` and advances `tm` by `T(tx, 0)`.  Inside one
     string only tm's translation (t4, t5) moves, so the run record
     carries the string's geometry instead of matrices (see `TextRun`):
     this function computes only what every device needs -- the text,
-    `tfs`, the first and last glyph's t4/t5, the last glyph's width and
-    the end tm -- and leaves the other glyphs to the device.  The
-    products are euclid's, minus the zero terms of
-    tsm = (h, 0, 0, 1, 0, rise) and of the advance translation: a zero
-    product term only ever changes the sign of a zero, which no
-    downstream comparison can observe.  The advance of a glyph is
-    `h * (w0 * font_size + spacing)` (the reference's
+    `tfs`, the first glyph's t4/t5 and the last glyph's width -- and
+    leaves the other glyphs to the device.  The products are euclid's,
+    minus the zero terms of tsm = (h, 0, 0, 1, 0, rise) and of the
+    advance translation: a zero product term only ever changes the sign
+    of a zero, which no downstream comparison can observe.  The advance
+    of a glyph is `h * (w0 * font_size + spacing)` (the reference's
     `w0 - 0.0 / 1000.0` is `w0` bit for bit, NaN and -0.0 included); a
     1-byte font's come from the text state's cached `AdvanceTable`.
+
+    The end tm is folded only when it is read: `output_run` may return
+    it (`PlainTextOutput` folds each run once anyway), else the run
+    stays `ts.pending` until the next string or a TJ number reads tm
+    (`TextState.settled_tm`); Td, TD, T*, Tm, BT and ET overwrite it
+    unread.
 
     The text comes from `PdfFont.run_text` when the font decodes the
     string in one call, one char per glyph, else from `PdfFont.glyphs`.
@@ -199,40 +250,20 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
     space_spacing = char_spacing + ts.word_spacing
     table = font.glyph_table
     if table is not None:  # 1-byte codes
-        codes, n, glyphs, last = s, len(s), table, s[-1]
+        codes, n, glyphs = s, len(s), table
         advances = ts.advances
         if advances is None or advances.filled < len(table):
             advances = ts.advances = font.advance_table(
                 h, font_size, char_spacing, space_spacing)
-        head = s[:-1]
-        get = advances.__getitem__
-        txs = map(get, head)
-        w_last = table[last][0]
+        w_last = table[s[-1]][0]
     else:
-        codes, n, last = None, len(glyphs), -1
+        codes, n = None, len(glyphs)
         advances = [h * (w0 * font_size + (space_spacing if word_space
                                            else char_spacing))
                     for w0, _char, word_space in glyphs]
-        txs = head = advances[:-1]
         w_last = glyphs[-1][0]
-    tx = advances[last]
-    t0, t1, t2, t3, t4, t5 = ts.tm
-    # tm = T(tx, 0) * tm: t4 += tx * t0, t5 += tx * t1 per glyph, one
-    # add at a time, left to right (`reduce`; `sum` compensates rounding
-    # from Python 3.12 on); tx * 1.0 == tx for every float, so an
-    # unscaled tm skips the multiply
-    t4_last = reduce(add, txs if t0 == 1.0 else map(_fmul, txs, repeat(t0)),
-                     t4)
-    t4_end = t4_last + tx * t0
-    if t1 == 0.0 and t5 != 0.0 and isfinite(t4_end):
-        # a finite t4 fold had finite advances: every tx * t1 is a zero,
-        # and t5 + (+-0.0) == t5
-        t5_last = t5_end = t5
-    else:
-        if codes is not None:
-            head = map(get, head)
-        t5_last = reduce(add, map(_fmul, head, repeat(t1)), t5)
-        t5_end = t5_last + tx * t1
+    t0, t1, t2, t3, t4, t5 = tm = (ts.tm if ts.pending is None
+                                   else ts.settled_tm())
     ctm = gs.ctm
     c0, c1, c2, c3, _c4, _c5 = ctm
     # linear part of m = tm * ctm; trm = tsm * m
@@ -241,15 +272,19 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
     m2 = t2 * c0 + t3 * c2
     m3 = t2 * c1 + t3 * c3
     rise = ts.rise
-    output.output_run(_new_run(TextRun, (
+    run = _new_run(TextRun, (
         text,
         # tfs from transform_vector((a, b, m2, m3), font_size, font_size)
         _sqrt_or_nan((font_size * a + font_size * m2)
                      * (font_size * b + font_size * m3)),
-        t4, t5, t4_last, t5_last, w_last, ctm, rise * m2, rise * m3, n,
-        codes, advances, char_lens, t0, t1, glyphs, (a, b, m2, m3),
-        font_size, (char_spacing, space_spacing))))
-    ts.tm = (t0, t1, t2, t3, t4_end, t5_end)
+        t4, t5, w_last, ctm, rise * m2, rise * m3, n, codes, advances,
+        char_lens, t0, t1, glyphs, (a, b, m2, m3), font_size,
+        (char_spacing, space_spacing)))
+    end = output.output_run(run)
+    if end is None:
+        ts.pending = run
+    else:
+        ts.tm = tm[:4] + end
 
 
 def apply_state(doc, gs: GraphicsState, state: dict) -> None:
@@ -368,7 +403,7 @@ class Processor:
                         elif isinstance(e, (int, float)):
                             tj = float(e)
                             tx = ts.horizontal_scaling * ((0.0 - tj / 1000.0) * ts.font_size)
-                            ts.tm = mul(translation(tx, 0.0), ts.tm)
+                            ts.tm = mul(translation(tx, 0.0), ts.settled_tm())
             elif op == "Tj":
                 o = operands[0]
                 if not isinstance(o, PdfString):
@@ -379,6 +414,7 @@ class Processor:
                     raise PdfError("Td needs 2 operands")
                 tlm = mul(translation(as_num(operands[0]), as_num(operands[1])), tlm)
                 gs.ts.tm = tlm
+                gs.ts.pending = None
                 output.end_line()
             elif op == "TD":
                 if len(operands) != 2:
@@ -387,10 +423,12 @@ class Processor:
                 gs.ts.leading = -ty
                 tlm = mul(translation(tx, ty), tlm)
                 gs.ts.tm = tlm
+                gs.ts.pending = None
                 output.end_line()
             elif op == "T*":
                 tlm = mul(translation(0.0, -gs.ts.leading), tlm)
                 gs.ts.tm = tlm
+                gs.ts.pending = None
                 output.end_line()
             elif op == "Tm":
                 if len(operands) != 6:
@@ -399,10 +437,12 @@ class Processor:
                        as_num(operands[2]), as_num(operands[3]),
                        as_num(operands[4]), as_num(operands[5]))
                 gs.ts.tm = tlm
+                gs.ts.pending = None
                 output.end_line()
             elif op == "BT" or op == "ET":
                 tlm = IDENTITY
                 gs.ts.tm = tlm
+                gs.ts.pending = None
             elif op == "cm":
                 if len(operands) != 6:
                     raise PdfError("cm needs 6 operands")

@@ -59,27 +59,41 @@ RESULT_SCHEMA = pa.schema([
 ])
 
 
-def _build_spans_array(geometries) -> pa.Array:
-    """Rows' glyph geometries (`SpanGeometry`, or None) -> one Arrow
-    list<struct> array, None rows as null lists.
+def _build_spans_array(rows, with_spans: bool = True):
+    """Rows' recorded text runs (`(run texts, SpanGeometry)` from
+    `extract_text_and_span_columns_from_mem`, or None) -> (each row's
+    text; one Arrow list<struct> spans array).
 
-    One `resolve_span_columns` call places the glyphs of all the rows
-    (it steps through them about SPAN_CHUNK glyphs at a time), and its
-    numpy columns become the struct's children without a copy.  A
-    geometry's glyph count is `len(geom.codes)`."""
-    from ..engine.devices import resolve_span_columns
-    offsets = np.zeros(len(geometries) + 1, np.int32)
-    np.cumsum([len(g.codes) if g is not None else 0 for g in geometries],
-              out=offsets[1:])
-    # pyarrow convention: a null at offsets[i] makes list element i null
-    null = np.array([g is None for g in geometries] + [False])
+    One `devices.place_text` call places the runs of all the rows (it
+    folds their glyphs about SPAN_CHUNK at a time) and joins each row's
+    text; its numpy columns become the struct's children without a
+    copy.  A None row, and with `with_spans` a row whose text is too
+    long for int32 span offsets, gets None for its text.  Those rows,
+    and every row without `with_spans`, get null lists.  A row's glyph
+    count is `len(geometry.codes)`."""
+    from ..engine.devices import place_text
+    recorded = [row for row in rows if row is not None]
+    placed, columns = place_text(recorded, with_spans)
+    placed = iter(placed)
+    texts = [None if row is None else next(placed) for row in rows]
+    null = [text is None or not with_spans for text in texts]
+    if not with_spans:
+        columns = [np.empty(0, typ.to_pandas_dtype())
+                   for _name, typ in _SPAN_FIELDS]
+    offsets = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum([0 if skip else len(row[1].codes)
+               for row, skip in zip(rows, null)], out=offsets[1:])
     struct = pa.StructArray.from_arrays(
         [pa.array(col, typ) for col, (_name, typ)
-         in zip(resolve_span_columns(
-             [g for g in geometries if g is not None and len(g.codes)]),
-                _SPAN_FIELDS)],
+         in zip(columns, _SPAN_FIELDS)],
         names=[name for name, _typ in _SPAN_FIELDS])
-    return pa.ListArray.from_arrays(pa.array(offsets, mask=null), struct)
+    # pyarrow convention: a null at offsets[i] makes list element i null
+    return texts, pa.ListArray.from_arrays(
+        pa.array(offsets, mask=np.array(null + [False])), struct)
+
+
+def _error_text(e: BaseException) -> str:
+    return f"{type(e).__name__}: {e}"[:500]
 
 
 class ExtractBatch:
@@ -89,7 +103,9 @@ class ExtractBatch:
     module load; `extract_dataset` keeps one instance per worker through
     `util.task_udf`); the per-row engine call is total — every exception
     is captured into status='error' so one bad PDF never kills a task
-    (SURVEY.md §4: the reference panics, we must not).
+    (SURVEY.md §4: the reference panics, we must not).  A PDF row's
+    text runs are recorded per row and placed for the whole batch in
+    `_build_spans_array`, with or without the spans column.
     """
 
     def __init__(self, with_spans: bool = True):
@@ -100,14 +116,14 @@ class ExtractBatch:
         self.with_spans = with_spans
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..engine.api import (extract_text_and_span_columns_from_mem,
-                                  extract_text_from_mem)
+        from ..engine.api import extract_text_and_span_columns_from_mem
+        from ..engine.devices import SPAN_OVERFLOW
         from ..engine.html_extract import extract_html_text, sniff_payload
 
         payloads = batch.column("html").to_pylist()
         texts: List[str] = []
-        # per row: the glyph geometry the span column is resolved from
-        geometries: List[Optional[tuple]] = []
+        # per PDF row: its recorded text runs, placed after the loop
+        recorded: List[Optional[tuple]] = []
         statuses: List[str] = []
         errors: List[Optional[str]] = []
         kinds: List[str] = []
@@ -115,14 +131,11 @@ class ExtractBatch:
         for payload in payloads:
             payload = payload or b""
             kind = sniff_payload(payload)
-            text, geometry, err = "", None, None
+            text, runs, err = "", None, None
             try:
                 if kind == "pdf":
-                    if self.with_spans:
-                        text, geometry = extract_text_and_span_columns_from_mem(payload)
-                    else:
-                        text = extract_text_from_mem(payload)
-                    status = "ok" if text else "empty"
+                    runs = extract_text_and_span_columns_from_mem(payload)
+                    status = "ok"  # or "empty", once placed
                 elif kind == "html":
                     text = extract_html_text(payload)
                     status = "ok" if text else "empty"
@@ -131,19 +144,30 @@ class ExtractBatch:
                 else:
                     status = "skipped"
             except Exception as e:  # total UDF: error rows, never task death
-                text, geometry = "", None
+                text, runs = "", None
                 status = "error"
-                err = f"{type(e).__name__}: {e}"[:500]
+                err = _error_text(e)
             sizes.append(len(payload))
             kinds.append(kind)
             texts.append(text)
-            geometries.append(geometry)
+            recorded.append(runs)
             statuses.append(status)
             errors.append(err)
+        placed, spans = _build_spans_array(recorded, self.with_spans)
+        for i, runs in enumerate(recorded):
+            if runs is None:
+                continue
+            text = placed[i]
+            if text is None:
+                texts[i], statuses[i] = "", "error"
+                errors[i] = _error_text(OverflowError(SPAN_OVERFLOW))
+            else:
+                texts[i] = text
+                statuses[i] = "ok" if text else "empty"
         return pa.Table.from_arrays(
             [batch.column("url"),
              pa.array(texts, pa.string()),
-             _build_spans_array(geometries),
+             spans,
              pa.array(statuses, pa.string()),
              pa.array(errors, pa.string()),
              pa.array(kinds, pa.string()),

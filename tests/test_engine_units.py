@@ -164,16 +164,21 @@ class TestPlainTextHeuristics:
     synthetic char events (FIXTURES.md §F5)."""
 
     def emit(self, events, media_box=(0, 0, 612, 792)):
-        dev = PlainTextOutput()
-        dev.begin_page(1, media_box, None)
-        for word in events:
-            dev.begin_word()
-            for (x, y, width, fs, ch) in word:
-                trm = (fs, 0.0, 0.0, fs, x, 792.0 - y)  # pre-flipped y
-                dev.output_character(trm, width, 0.0, 1.0, ch)
-            dev.end_word()
-        dev.end_page()
-        return dev.get_text()
+        """The text PlainTextOutput gives the events, which must equal
+        the text `place_text` places from SpanTextOutput's records."""
+        texts = []
+        for dev in (PlainTextOutput(), SpanTextOutput()):
+            dev.begin_page(1, media_box, None)
+            for word in events:
+                dev.begin_word()
+                for (x, y, width, fs, ch) in word:
+                    trm = (fs, 0.0, 0.0, fs, x, 792.0 - y)  # pre-flipped y
+                    dev.output_character(trm, width, 0.0, 1.0, ch)
+                dev.end_word()
+            dev.end_page()
+            texts.append(dev.get_text())
+        assert texts[0] == texts[1]
+        return texts[0]
 
     def test_same_line_no_separator(self):
         out = self.emit([[(72, 72, 0.5, 12, "A")], [(78, 72, 0.5, 12, "B")]])
@@ -215,22 +220,26 @@ class TestSqrtNan:
 class TestSpanResolve:
     """`resolve_span_columns` places glyphs in steps of SPAN_CHUNK glyphs,
     for one document or several at once, without changing its input,
-    and the UDF resolves a batch's rows in one call.  None of that may
-    show in the result; and non-finite geometry must not raise
-    (the UDF resolves outside its per-row try)."""
+    and the UDF places a batch's rows in one `place_text` call.  None
+    of that may show in the result; non-finite geometry must not raise
+    (the UDF places text outside its per-row try); and a row whose text
+    is too long for int32 span offsets is an error row on its own."""
 
-    def geometries(self):
+    def recorded(self):
         from pdf_extract_ray.data.pdfgen import PDF_GENERATORS
         from pdf_extract_ray.engine.api import (load_document, maybe_decrypt,
                                                 output_doc)
-        geoms = []
+        recorded = []
         for name in sorted(PDF_GENERATORS):
             doc = load_document(PDF_GENERATORS[name]())
             maybe_decrypt(doc)
             dev = SpanTextOutput()
             output_doc(doc, dev)
-            geoms.append(dev.geometry())
-        return geoms
+            recorded.append(dev.recorded())
+        return recorded
+
+    def geometries(self):
+        return [geom for _texts, geom in self.recorded()]
 
     @staticmethod
     def copy(geom):
@@ -266,52 +275,107 @@ class TestSpanResolve:
             assert repr(a.tolist()) == repr(b.tolist()) == repr(c.tolist())
 
     def test_udf_span_chunks_are_invisible(self, monkeypatch):
-        """The UDF resolves a batch's rows in one call, into one chunk:
-        each row equals its document resolved alone, whatever the step
+        """The UDF places a batch's rows in one call, into one chunk:
+        each row equals its document placed alone, whatever the step
         (the default SPAN_CHUNK, 1 and 7 glyphs)."""
         import pyarrow as pa
 
         from pdf_extract_ray.engine import devices
+        from pdf_extract_ray.engine.devices import place_text
         from pdf_extract_ray.pipelines.extract import (_SPAN_FIELDS,
                                                        SPAN_TYPE,
                                                        _build_spans_array)
-        geoms = self.geometries()
-        rows = [None] + geoms[:8] + [None] + geoms[8:]
-        copies = [g and self.copy(g) for g in rows]
+        recorded = self.recorded()
+        rows = [None] + recorded[:8] + [None] + recorded[8:]
+        geoms = [r[1] for r in rows if r is not None]
+        copies = [self.copy(g) for g in geoms]
         names = [name for name, _typ in _SPAN_FIELDS]
-        alone = [g and [dict(zip(names, span)) for span in zip(
-            *(c.tolist() for c in resolve_span_columns([g])))]
-            for g in rows]
+        alone = [r and [dict(zip(names, span)) for span in zip(
+            *(c.tolist() for c in place_text([r])[1]))]
+            for r in rows]
+        alone_texts = [r and place_text([r])[0][0] for r in rows]
         for budget in (devices.SPAN_CHUNK, 1, 7):
             monkeypatch.setattr(devices, "SPAN_CHUNK", budget)
-            spans = _build_spans_array(rows)
+            texts, spans = _build_spans_array(rows)
             assert isinstance(spans, pa.ListArray)
             assert spans.type == SPAN_TYPE
-            assert self.unchanged(rows[1:9] + rows[10:],
-                                  copies[1:9] + copies[10:])
+            assert self.unchanged(geoms, copies)
             assert spans[0].as_py() is None and spans[9].as_py() is None
             assert repr(spans.to_pylist()) == repr(alone), budget
+            assert texts == alone_texts
+            texts, spans = _build_spans_array(rows, with_spans=False)
+            assert spans.type == SPAN_TYPE
+            assert spans.to_pylist() == [None] * len(rows)
+            assert texts == alone_texts
 
     def test_non_finite_geometry_propagates_without_raising(self):
         import numpy as np
+
+        from pdf_extract_ray.engine.devices import place_text
         inf, nan = float("inf"), float("nan")
         trms = [(1.0, 0.0, 0.0, 1.0, inf, 5.0),
                 (inf, 0.0, 0.0, -inf, nan, 1.0),
-                (1.0, 0.0, 0.0, 1.0, -inf, inf)]
-        dev = SpanTextOutput()
-        dev.begin_page(1, (0.0, 0.0, 612.0, 792.0), None)
-        for trm in trms:
-            dev.begin_word()
-            dev.output_character(trm, 0.5, 0.0, 12.0, "x")
-            dev.end_word()
+                (1.0, 0.0, 0.0, 1.0, -inf, inf),
+                (1.0, 0.0, 0.0, 1.0, 3.0, nan),
+                (1.0, 0.0, 0.0, 1.0, 3.0, 4.0)]
+        devs = (SpanTextOutput(), PlainTextOutput())
+        for dev in devs:
+            dev.begin_page(1, (0.0, 0.0, 612.0, 792.0), None)
+            for trm in trms:
+                dev.begin_word()
+                dev.output_character(trm, 0.5, 0.0, 12.0, "x")
+                dev.output_character(trm, inf, 0.0, 12.0, "y")
+                dev.end_word()
         old = np.seterr(all="raise")
         try:
-            spans = dev.spans
+            spans = devs[0].spans
+            texts, columns = place_text([devs[0].recorded()])
+            bare, none = place_text([devs[0].recorded()], spans=False)
         finally:
             np.seterr(**old)
         flip = (1.0, 0.0, 0.0, -1.0, 0.0, 792.0)
-        assert repr([(x, y) for (_p, _s, _e, x, y, _fs) in spans]) \
+        assert repr([(x, y) for (_p, _s, _e, x, y, _fs) in spans[::2]]) \
             == repr([mul(trm, flip)[4:] for trm in trms])
+        assert texts == bare == [devs[1].get_text()]
+        assert none is None and len(columns[0]) == 2 * len(trms)
+
+    def test_row_over_int32_is_an_error_row(self, monkeypatch):
+        """With the int32 bound lowered below the longest text, that row
+        alone becomes an error row; the batch's other rows stay as an
+        unpatched run gives them."""
+        import pyarrow as pa
+
+        from pdf_extract_ray.data.pdfgen import PDF_GENERATORS
+        from pdf_extract_ray.engine import devices
+        from pdf_extract_ray.pipelines.extract import ExtractBatch
+        names = sorted(PDF_GENERATORS)
+        batch = pa.table({"url": names, "html": pa.array(
+            [PDF_GENERATORS[n]() for n in names], pa.binary())})
+        lengths = ExtractBatch(with_spans=True)(batch).column(
+            "n_chars").to_pylist()
+        # one longest row: drop the others as long as it
+        longest = max(lengths)
+        batch = batch.filter(pa.array(
+            [n < longest or i == lengths.index(longest)
+             for i, n in enumerate(lengths)]))
+        want = ExtractBatch(with_spans=True)(batch).to_pylist()
+        lengths = [row["n_chars"] for row in want]
+        assert lengths.count(longest) == 1 and longest > 10
+        monkeypatch.setattr(devices, "_INT32_MAX", longest - 1)
+        got = ExtractBatch(with_spans=True)(batch).to_pylist()
+        at = lengths.index(longest)
+        assert want[at]["status"] == "ok"
+        assert {k: got[at][k] for k in ("extracted_text", "spans", "status",
+                                         "error", "n_chars")} == {
+            "extracted_text": "", "spans": None, "status": "error",
+            "error": "OverflowError: span offsets exceed int32",
+            "n_chars": 0}
+        assert repr(got[:at] + got[at + 1:]) == repr(want[:at] + want[at + 1:])
+        # the API path raises
+        with pytest.raises(OverflowError, match="span offsets exceed int32"):
+            from pdf_extract_ray.engine.api import (
+                extract_text_and_spans_from_mem)
+            extract_text_and_spans_from_mem(batch.column("html")[at].as_py())
 
 
 class TestFunctions:

@@ -155,7 +155,7 @@ def test_span_device_keeps_at_most_max_tables():
     from pdf_extract_ray.engine.api import (
         extract_text_and_span_columns_from_mem)
     from pdf_extract_ray.engine.devices import _MAX_TABLES, _TABLE
-    _text, geom = extract_text_and_span_columns_from_mem(
+    _texts, geom = extract_text_and_span_columns_from_mem(
         _pdf(CASES["tw_per_line"]))
     assert len(geom.tables) == _MAX_TABLES * _TABLE
     # the runs past the cap record their advances, one per glyph
@@ -230,7 +230,7 @@ def _extract_runs(pdf, monkeypatch, runs: bool):
     with the run path on or off."""
     from pdf_extract_ray.engine import fonts
     from pdf_extract_ray.engine.api import extract_text_and_span_columns_from_mem
-    from pdf_extract_ray.engine.devices import resolve_span_columns
+    from pdf_extract_ray.engine.devices import place_text
     taken, shown = [], []
     run_text = fonts._Simple256Font.run_text
 
@@ -242,9 +242,9 @@ def _extract_runs(pdf, monkeypatch, runs: bool):
         return text
 
     monkeypatch.setattr(fonts._Simple256Font, "run_text", spy)
-    text, geometry = extract_text_and_span_columns_from_mem(pdf)
-    columns = tuple((col.dtype.str, col.tobytes())
-                    for col in resolve_span_columns([geometry]))
+    (text,), columns = place_text(
+        [extract_text_and_span_columns_from_mem(pdf)])
+    columns = tuple((col.dtype.str, col.tobytes()) for col in columns)
     return text, columns, taken, [data for font, data in shown
                                   if _one_char(font, data)]
 
@@ -339,3 +339,157 @@ def test_html_and_svg_output_unchanged():
             h.update(repr((name, out)).encode())
     assert h.hexdigest() == (
         "9a05e9600a4d9069ed0666e44a94b17c906e72c3e36a8a964162efbc38e64a77")
+
+
+# -- text placed in the batch resolve ---------------------------------------
+#
+# The pipeline records each text string and places the text of a whole
+# batch in numpy (`devices.place_text`); the API's `PlainTextOutput`
+# places it string by string.  The texts must be equal, one document per
+# resolve and all documents in one (the line/word state restarts at each
+# document's first run), and the interpreter folds a string's advances
+# in Python only when something reads its end tm.
+
+def _parity_pdfs():
+    import random
+
+    from pdf_extract_ray.data.pdfgen import PDF_GENERATORS
+    rng = random.Random(20261019)
+    return ([PDF_GENERATORS[n]() for n in sorted(PDF_GENERATORS)]
+            + [G.page_pdf(c) for _n, c in sorted(RUN_CASES.items())]
+            + [_pdf(G.soup(rng)) for _ in range(240)])
+
+
+def test_batch_placed_text_matches_plain_text():
+    from pdf_extract_ray.engine.api import (
+        extract_text_and_span_columns_from_mem, extract_text_from_mem)
+    from pdf_extract_ray.engine.devices import place_text
+    recorded, want = [], []
+    for pdf in _parity_pdfs():
+        try:
+            text = extract_text_from_mem(pdf)
+        except Exception:  # a damaged fixture or a soup that raises
+            continue
+        recorded.append(extract_text_and_span_columns_from_mem(pdf))
+        want.append(text)
+    assert len(want) > 250 and sum(map(bool, want)) > 200
+    alone = [place_text([r])[0][0] for r in recorded]
+    assert alone == want
+    assert [place_text([r], spans=False)[0][0] for r in recorded] == want
+    together, columns = place_text(recorded)
+    assert together == want
+    assert place_text(recorded, spans=False) == (want, None)
+    # span starts count the separators of their own document only
+    starts = columns[1].tolist()
+    at = 0
+    for r in recorded:
+        n = len(r[1].codes)
+        assert starts[at:at + n] == place_text([r])[1][1].tolist()
+        at += n
+
+
+def test_udf_without_spans_equals_with_spans():
+    """ExtractBatch(with_spans=False) rows are the with_spans=True rows
+    with a null spans column."""
+    import sys
+
+    from pdf_extract_ray.data.pdfgen import PDF_GENERATORS
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    names = sorted(PDF_GENERATORS)
+    table = pa.concat_tables([
+        pa.table({"url": names, "html": pa.array(
+            [PDF_GENERATORS[n]() for n in names], pa.binary())}),
+        gen.pages_table(gen.make_rows("crawl_mix", 5), 5).select(
+            ["url", "html"]).slice(0, 256)])
+    for off in range(0, table.num_rows, 64):
+        batch = table.slice(off, 64)
+        spans = ExtractBatch(with_spans=True)(batch)
+        bare = ExtractBatch(with_spans=False)(batch)
+        assert bare.column("spans").null_count == batch.num_rows
+        assert repr(bare.drop(["spans"]).to_pylist()) \
+            == repr(spans.drop(["spans"]).to_pylist())
+
+
+def _fold_spy(monkeypatch):
+    """Count (and keep) the runs `fold_run` folds, through both names
+    it is called by; and the tm reads that find a run pending."""
+    from pdf_extract_ray.engine import devices, interpreter
+    folded, reads = [], [0]
+    fold = interpreter.fold_run
+    settled_tm = interpreter.TextState.settled_tm
+
+    def spy(run):
+        folded.append(run)
+        return fold(run)
+
+    def read(ts):
+        reads[0] += ts.pending is not None
+        return settled_tm(ts)
+
+    monkeypatch.setattr(interpreter, "fold_run", spy)
+    monkeypatch.setattr(devices, "fold_run", spy)
+    monkeypatch.setattr(interpreter.TextState, "settled_tm", read)
+    return folded, reads
+
+
+def _strings(monkeypatch, cls):
+    """Count the runs a device class is handed."""
+    shown = [0]
+    output_run = cls.output_run
+
+    def count(self, run, first=True):
+        shown[0] += 1
+        return output_run(self, run, first)
+
+    monkeypatch.setattr(cls, "output_run", count)
+    return shown
+
+
+def _workload(name, seed):
+    import sys
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return gen.pages_table(gen.make_rows(name, seed), seed).select(
+        ["url", "html"])
+
+
+@pytest.mark.parametrize("workload,seed,strings,folds", [
+    # every string's end tm is overwritten by a Td/Tm before a read
+    ("large_pdfs", 1, 11173, 0),
+    # a TJ number or the next string of a text object reads some
+    ("crawl_mix", 3, 2254, 296)])
+def test_udf_folds_only_read_end_tms(workload, seed, strings, folds,
+                                     monkeypatch):
+    from pdf_extract_ray.engine.devices import SpanTextOutput
+    folded, reads = _fold_spy(monkeypatch)
+    shown = _strings(monkeypatch, SpanTextOutput)
+    table = _workload(workload, seed)
+    udf = ExtractBatch(with_spans=True)
+    for off in range(0, table.num_rows, 64):
+        udf(table.slice(off, 64))
+    assert shown[0] == strings
+    assert len(folded) == reads[0] == folds
+
+
+def test_plain_text_folds_each_string_once(monkeypatch):
+    """The API's PlainTextOutput folds each run in `output_run` and hands
+    the end tm back: one fold per string, none on a later read."""
+    from pdf_extract_ray.engine.api import extract_text_from_mem
+    from pdf_extract_ray.engine.devices import PlainTextOutput
+    folded, reads = _fold_spy(monkeypatch)
+    shown = _strings(monkeypatch, PlainTextOutput)
+    for pdf in _workload("crawl_mix", 3).column("html").to_pylist():
+        try:
+            extract_text_from_mem(pdf)
+        except Exception:
+            pass
+    assert shown[0] > 2000
+    assert len(folded) == shown[0] and reads[0] == 0
+    assert len(set(map(id, folded))) == len(folded)

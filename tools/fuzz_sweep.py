@@ -9,7 +9,8 @@ crash.  A divergence is counted apart: a mutated object body, framing
 or content stream on which a token scanner and its byte-level parser
 disagree (tools/lexer_diff.py), or a seeded soup of text-state and show
 ops whose resolved span columns differ from the per-glyph reference
-chain (tools/glyph_reference.py; the soup's seed is the input's CRC-32).
+chain, or whose batch-placed text differs from `PlainTextOutput`'s
+(tools/glyph_reference.py; the soup's seed is the input's CRC-32).
 
 The engine must never hang or hard-crash on corrupt input (the pipeline
 UDF totalizes exceptions to error rows, but a hang stalls a whole
@@ -101,7 +102,8 @@ def content_differential(data: bytes):
 
 def text_state(data: bytes):
     """A text-state soup seeded from the input: the engine's resolved
-    span columns against the per-glyph reference chain."""
+    span columns against the per-glyph reference chain, and the text
+    the batch resolve places against `PlainTextOutput`'s."""
     diff = glyph_reference.soup_divergence(random.Random(zlib.crc32(data)))
     if diff:
         raise Diverged(f"{diff:.600}")

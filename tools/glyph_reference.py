@@ -19,8 +19,9 @@ does.  `page_pdf(content)` is one page whose fonts the chain knows:
 `soup(rng)` draws a seeded content stream of BT/ET blocks with
 Tj/TJ/Tc/Tw/Tz/Ts/Tm/Td/Tf/cm/q/Q over those fonts, and
 `soup_divergence(rng)` compares the span columns the engine resolves
-(`devices.resolve_span_columns`) with the chain, and the text each
-glyph's span covers with its decoded char.  tests/
+(`devices.place_text`) with the chain, the text each glyph's span
+covers with its decoded char, and the text `place_text` joins with
+`PlainTextOutput`'s (`extract_text_from_mem`).  tests/
 test_glyph_geometry.py and tools/fuzz_sweep.py use this module; from the
 command line it sweeps N soups:
 
@@ -230,13 +231,14 @@ def reference_spans(ops):
 
 def engine_spans(pdf: bytes):
     """(x, y, font_size) of every glyph from the span columns the
-    pipeline resolves, and the text each glyph's (start, end) covers."""
+    pipeline resolves, the text each glyph's (start, end) covers, and
+    the document's text as the pipeline places it."""
     from pdf_extract_ray.engine.api import extract_text_and_span_columns_from_mem
-    from pdf_extract_ray.engine.devices import resolve_span_columns
-    text, geometry = extract_text_and_span_columns_from_mem(pdf)
-    cols = resolve_span_columns([geometry])
+    from pdf_extract_ray.engine.devices import place_text
+    (text,), cols = place_text([extract_text_and_span_columns_from_mem(pdf)])
     return (list(zip(cols[3].tolist(), cols[4].tolist(), cols[5].tolist())),
-            [text[s:e] for s, e in zip(cols[1].tolist(), cols[2].tolist())])
+            [text[s:e] for s, e in zip(cols[1].tolist(), cols[2].tolist())],
+            text)
 
 
 def glyph_chars(pdf: bytes):
@@ -346,11 +348,12 @@ def soup(rng):
 
 def soup_divergence(rng):
     """None, or what differs between the engine's span columns and the
-    reference chain on one soup."""
+    reference chain on one soup, or between its placed text and
+    `PlainTextOutput`'s."""
     ops = soup(rng)
     want = reference_spans(ops)
     pdf = page_pdf(serialize(ops))
-    got, covered = engine_spans(pdf)
+    got, covered, text = engine_spans(pdf)
     # repr: -0.0 and 0.0 differ, NaN equals NaN
     if repr(got) != repr(want):
         for i, (a, b) in enumerate(zip(got, want)):
@@ -360,6 +363,10 @@ def soup_divergence(rng):
     chars = glyph_chars(pdf)
     if covered != chars:
         return f"glyph spans cover {covered!r}, not {chars!r} in {ops!r}"
+    from pdf_extract_ray.engine.api import extract_text_from_mem
+    plain = extract_text_from_mem(pdf)
+    if text != plain:
+        return f"placed text {text!r} != PlainTextOutput's {plain!r} in {ops!r}"
     return None
 
 

@@ -5,7 +5,8 @@ Imports this checkout's `pdf_extract_ray` and OTHER_CHECKOUT's in one
 process, as two packages (`pep_this`, `pep_other`: symlinks in a temp
 dir, which works because the imports inside the package are relative;
 no bytecode is written, so neither checkout changes).  Both run
-`ExtractBatch(with_spans=True)` in 64-row batches over a perfbench
+`ExtractBatch(with_spans=True)` (`--no-spans`: `with_spans=False`, the
+textprep/ccprep/crawlprep path) in 64-row batches over a perfbench
 workload's generated rows (`perfbench/gen.py`), and their output rows
 must be equal.  Then the two sides take turns, warm, which one goes
 first alternating by round, and the tool prints each side's median CPU
@@ -15,11 +16,13 @@ separate benchmark processes do not.
 
 Usage:
     python tools/inproc_ab.py ../parent --workload crawl_mix --seed 3 \\
-        --rounds 30 [--layer spans]
+        --rounds 30 [--layer spans] [--no-spans]
 
 `--layer udf` (the default) times whole UDF passes; `--layer spans`
-times `pipelines.extract._build_spans_array` alone, over the
-geometries each side built in the check pass.
+times `pipelines.extract._build_spans_array` alone, called as the UDF
+called it in the check pass (the batch resolve: text placement and the
+span columns; a checkout from before text placement moved there only
+builds the span columns in it).
 """
 import argparse
 import gc
@@ -48,6 +51,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=11)
     ap.add_argument("--layer", choices=("udf", "spans"), default="udf")
+    ap.add_argument("--no-spans", action="store_true",
+                    help="run ExtractBatch(with_spans=False)")
     args = ap.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -64,12 +69,12 @@ def main(argv=None) -> int:
         for name, root in (("this", ROOT), ("other", args.other)):
             extract = _load(os.path.join(root, "pdf_extract_ray"),
                             f"pep_{name}", tmp)
-            udf, build, geometries = (extract.ExtractBatch(with_spans=True),
-                                      extract._build_spans_array, [])
-            # the check pass records each batch's geometries
+            udf = extract.ExtractBatch(with_spans=not args.no_spans)
+            build, calls = extract._build_spans_array, []
+            # the check pass records each batch's resolve call
             extract._build_spans_array = (
-                lambda g, build=build, seen=geometries:
-                seen.append(g) or build(g))
+                lambda *a, build=build, seen=calls, **kw:
+                seen.append((a, kw)) or build(*a, **kw))
             rows = [repr(udf(b).to_pylist()) for b in batches]
             extract._build_spans_array = build
             if args.layer == "udf":
@@ -77,9 +82,9 @@ def main(argv=None) -> int:
                     for b in batches:
                         udf(b)
             else:
-                def run(build=build, geometries=geometries):
-                    for g in geometries:
-                        build(g)
+                def run(build=build, calls=calls):
+                    for a, kw in calls:
+                        build(*a, **kw)
             sides[name] = (rows, run)
     if sides["this"][0] != sides["other"][0]:
         print("output rows differ", file=sys.stderr)
@@ -95,7 +100,8 @@ def main(argv=None) -> int:
             cpu[name].append(time.process_time() - t0)
     wins = sum(a < b for a, b in zip(cpu["this"], cpu["other"]))
     this, other = statistics.median(cpu["this"]), statistics.median(cpu["other"])
-    print(f"layer={args.layer} workload={args.workload} seed={args.seed} "
+    print(f"layer={args.layer} spans={not args.no_spans} "
+          f"workload={args.workload} seed={args.seed} "
           f"rounds={args.rounds}: this {this:.4f} s, other {other:.4f} s "
           f"(median CPU per pass), ratio {this / other:.3f}, "
           f"wins {wins}/{args.rounds}")
