@@ -449,12 +449,14 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
     # (x, y) of each run's first glyph and of its last
     x0, y0, x1, y1 = np.empty((4, n_runs))
     if spans:
-        pages = np.empty(n, np.int32)
-        starts = np.empty(n, np.int32)
-        ends = np.empty(n, np.int32)
-        xs = np.empty(n, np.float64)
-        ys = np.empty(n, np.float64)
-        fss = np.empty(n, np.float64)
+        # the six columns in one allocation, not six: glibc returns
+        # blocks of a few MB to the OS when a batch frees them and the
+        # next batch faults them in again (~6,000 minor faults per
+        # large_pdfs pass in a Ray worker); one block of their total
+        # size stays in the heap and is reused
+        block = np.empty(36 * n, np.uint8)
+        xs, ys, fss = block[:24 * n].view(np.float64).reshape(3, n)
+        pages, starts, ends = block[24 * n:].view(np.int32).reshape(3, n)
     bits = runs.view(np.int64)
     r = g = 0
     with np.errstate(all="ignore"):
