@@ -7,19 +7,19 @@ text, the scalars every device needs (transformed font size, the first
 glyph's tm translation, the last glyph's width) and what the other
 glyphs are placed from (the tm advance of each glyph, by 1-byte code or
 one per glyph).  No per-glyph matrix is built unless a device asks for
-it: `OutputDev`'s default `output_run` expands the record into
-`begin_word`, one `output_character` per glyph with its full
-text-rendering matrix, and `end_word`, which is what `HTMLOutput` and
-devices that override only `output_character` see.
+it: `OutputDev`'s default `output_run` expands the record into the
+reference's per-glyph protocol, `begin_word`, one `output_character`
+per glyph with its full text-rendering matrix, and `end_word`, for
+`HTMLOutput` and user devices that override only `output_character`.
 
-`PlainTextOutput` is the byte-parity-critical word/line reconstruction
-(src/lib.rs:2131-2200); it places a run from its scalars and one fold of
-its advances (`interpreter.fold_run`), and returns the end tm.
-`SpanTextOutput` places nothing: it records each run's text, one
-fixed-width record and, per glyph, its code (`SpanGeometry`), and
-`place_text` places the runs of one or many documents in numpy: the
-same text as `PlainTextOutput`, and the (page, start, end, x, y,
-font_size) span columns.
+The text devices take whole runs.  `PlainTextOutput` is the
+byte-parity-critical word/line reconstruction (src/lib.rs:2131-2200);
+it places a run from its scalars and one fold of its advances
+(`interpreter.fold_run`), and returns the end tm.  `SpanTextOutput`
+places nothing: it records each run's text, one fixed-width record and,
+per glyph, its code (`SpanGeometry`), and `place_text` places the runs
+of one or many documents in numpy: the same text as `PlainTextOutput`,
+and the (page, start, end, x, y, font_size) span columns.
 """
 from __future__ import annotations
 
@@ -38,14 +38,15 @@ class OutputDev:
     """Protocol for event consumers; all hooks default to no-ops.
 
     Text arrives one text string at a time, as one `output_run` call
-    per string with glyphs.  A device overrides either
-    `output_character`, which the default `output_run` calls once per
-    glyph with the glyph's full text-rendering matrix (between
-    `begin_word` and `end_word`), or `output_run` itself to handle the
-    whole string in one call.  `output_run` may return the tm
-    translation after the run's last glyph (`interpreter.fold_run`'s
-    end pair), which saves the interpreter folding the run's advances
-    again when it reads tm; None leaves that to the interpreter.
+    per string with glyphs.  The text devices override `output_run` to
+    take the whole string; this default is the reference's per-glyph
+    protocol, for `HTMLOutput` and user devices that override
+    `output_character`: one call per glyph with its full text-rendering
+    matrix, between `begin_word` and `end_word`.  `output_run` may
+    return the tm translation after the run's last glyph
+    (`interpreter.fold_run`'s end pair), which saves the interpreter
+    folding the run's advances again when it reads tm; None leaves that
+    to the interpreter.
     """
 
     def begin_page(self, page_num: int, media_box, art_box) -> None:
@@ -104,21 +105,6 @@ class OutputDev:
         pass
 
 
-def _glyph_run(trm: Transform, width: float, spacing: float,
-               font_size: float, char: str) -> TextRun:
-    """An `output_character` event as a one-glyph run.  t4 = t5 = -0.0,
-    rise -0.0 and a ctm with a zero linear part and translation trm[4:]
-    give e4 = -0.0 + ((-0.0 * 0.0 + -0.0 * 0.0) + trm[4]) == trm[4] bit
-    for bit (x + -0.0 == x for every float x), and likewise
-    e5 == trm[5]."""
-    tvx, tvy = transform_vector(trm, font_size, font_size)
-    return TextRun(char, _sqrt_or_nan(tvx * tvy), -0.0, -0.0, width,
-                   (0.0, 0.0, 0.0, 0.0, trm[4], trm[5]), -0.0, -0.0,
-                   1, None, [0.0], None if len(char) == 1 else [len(char)],
-                   1.0, 0.0, [(width, char, False)], trm[:4], font_size,
-                   (spacing, spacing))
-
-
 class PlainTextOutput(OutputDev):
     """Runs -> text, with the three spacing heuristics
     (src/lib.rs:2161-2190):
@@ -126,21 +112,18 @@ class PlainTextOutput(OutputDev):
       newline if x < last_end and |y - last_y| > 0.5 * tfs  (left+down)
       space   if x > last_end + 0.1 * tfs
     where tfs = sqrt(tx*ty) of the trm-transformed (fs, fs) vector.
-    The rules apply only to a word's first glyph, and tfs depends only
-    on the linear part of trm and the font size, so a run is placed by
-    its first and last glyph alone.  Each text string is a word; with
-    the per-glyph protocol (`begin_word`, `output_character`...,
-    `end_word`) only the word's first glyph is placed.  Line breaks come
-    ONLY from these y-delta rules; end_line is a no-op
-    (src/lib.rs:2196-2199).  `place_text` applies the same rules to
-    recorded runs in numpy.
+    Each text string is a word, and the rules apply only to a word's
+    first glyph; tfs depends only on the linear part of trm and the font
+    size, so a run is placed by its first and last glyph alone.  Line
+    breaks come ONLY from these y-delta rules; end_line is a no-op
+    (src/lib.rs:2196-2199).
+    `place_text` applies the same rules to recorded runs in numpy.
     """
 
     def __init__(self):
         self.parts: List[str] = []
         self.last_end = 100000.0
         self.last_y = 0.0
-        self.first_char = False
         self.flip_ctm: Transform = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
     def get_text(self) -> str:
@@ -150,37 +133,26 @@ class PlainTextOutput(OutputDev):
         # flip page space vertically (src/lib.rs:2154-2156)
         self.flip_ctm = (1.0, 0.0, 0.0, -1.0, 0.0, media_box[3] - media_box[1])
 
-    def begin_word(self) -> None:
-        self.first_char = True
-
-    def output_character(self, trm, width, spacing, font_size, char) -> None:
-        self.output_run(_glyph_run(trm, width, spacing, font_size, char),
-                        self.first_char)
-        self.first_char = False
-
-    def output_run(self, run, first: bool = True) -> Tuple[float, float]:
+    def output_run(self, run) -> Tuple[float, float]:
         """Append the run's text, after the separator the spacing rules
-        give its first glyph when `first`, and move the line/word state
-        past its last glyph.  -> the end tm translation, from the one
-        fold of the run's advances (`interpreter.fold_run`)."""
+        give its first glyph, and move the line/word state past its last
+        glyph.  -> the end tm translation, from the one fold of the
+        run's advances (`interpreter.fold_run`)."""
         (text, tfs, t4, t5, w_last, (c0, c1, c2, c3, c4, c5), r4,
          r5) = run[:8]
         t4_last, t5_last, t4_end, t5_end = fold_run(run)
         # translation row of mul(trm, flip_ctm), inlined (only 4,5 used)
         f0, f1, f2, f3, f4, f5 = self.flip_ctm
-        sep = ""
-        if first:
-            e4 = r4 + (t4 * c0 + t5 * c2 + c4)
-            e5 = r5 + (t4 * c1 + t5 * c3 + c5)
-            x = e4 * f0 + e5 * f2 + f4
-            dy = abs(e4 * f1 + e5 * f3 + f5 - self.last_y)
-            if dy > tfs * 1.5:
-                sep = "\n"
-            # we've moved to the left and down
-            if x < self.last_end and dy > tfs * 0.5:
-                sep += "\n"
-            if x > self.last_end + tfs * 0.1:
-                sep += " "
+        e4 = r4 + (t4 * c0 + t5 * c2 + c4)
+        e5 = r5 + (t4 * c1 + t5 * c3 + c5)
+        x = e4 * f0 + e5 * f2 + f4
+        dy = abs(e4 * f1 + e5 * f3 + f5 - self.last_y)
+        sep = "\n" if dy > tfs * 1.5 else ""
+        # we've moved to the left and down
+        if x < self.last_end and dy > tfs * 0.5:
+            sep += "\n"
+        if x > self.last_end + tfs * 0.1:
+            sep += " "
         e4 = r4 + (t4_last * c0 + t5_last * c2 + c4)
         e5 = r5 + (t4_last * c1 + t5_last * c3 + c5)
         self.last_y = e4 * f1 + e5 * f3 + f5
@@ -194,15 +166,14 @@ class PlainTextOutput(OutputDev):
 # 1-byte codes into advance table ADV of `SpanGeometry.tables`;
 # ADV < 0: its advances are `advances[-1 - ADV:][:n]`.  LENS: offset of
 # the run's decoded lengths in `char_len`, or -1 when each glyph
-# decodes to one char.  W: the last glyph's width / 1000.  FIRST: 1 when
-# the spacing rules place the run's first glyph (a word's first).
+# decodes to one char.  W: the last glyph's width / 1000.
 _RUN_FIELDS = ("page", "tlen", "n", "tfs", "c0", "c1", "c2", "c3", "c4",
                "c5", "r4", "r5", "f0", "f1", "f2", "f3", "f4", "f5", "t0",
-               "t1", "t4", "t5", "adv", "lens", "w", "first")
+               "t1", "t4", "t5", "adv", "lens", "w")
 RUN_WIDTH = len(_RUN_FIELDS)
 (_PAGE, _TLEN, _N, _TFS, _C0, _C1, _C2, _C3, _C4, _C5, _R4, _R5,
  _F0, _F1, _F2, _F3, _F4, _F5, _T0, _T1, _T4, _T5, _ADV,
- _LENS, _W, _FIRST) = range(RUN_WIDTH)
+ _LENS, _W) = range(RUN_WIDTH)
 _INT32_MAX = 2 ** 31 - 1
 SPAN_OVERFLOW = "span offsets exceed int32"
 # the separators the spacing rules put before a run, by
@@ -226,7 +197,7 @@ class SpanGeometry(NamedTuple):
     not all one char; and per run one RUN_WIDTH-double
     record (`_RUN_FIELDS`: page, text length, glyph count, transformed
     font size, ctm, rise terms, flip ctm, tm's (t0, t1, t4, t5) at the
-    first glyph, advance source, lengths, last width, first flag)."""
+    first glyph, advance source, lengths, last width)."""
     codes: array.array
     advances: array.array
     tables: array.array
@@ -234,22 +205,21 @@ class SpanGeometry(NamedTuple):
     runs: array.array
 
 
-class SpanTextOutput(PlainTextOutput):
+class SpanTextOutput(OutputDev):
     """Records runs for `place_text`, which gives PlainTextOutput's text
     and per-character span records (page, start, end, x, y, font_size)
     with start/end as offsets into that text.
 
-    A run appends its text to `texts`, one fixed-width record to
-    `runs` and its codes to `codes` (a font without 1-byte codes: zeros
-    there; it and a 1-byte run whose advance table would be one past
-    `_MAX_TABLES` append their advances to `advances`), plus its
-    decoded lengths if they are not all 1; nothing is placed here, and
-    the interpreter folds the run's advances only if it reads the end
-    tm.  `recorded()` hands the texts and buffers over.  `get_text()`
-    and the tuple-list `spans` property remain for direct API users."""
+    It takes whole runs only.  A run appends its text to `texts`, one
+    fixed-width record to `runs` and its codes to `codes` (a font
+    without 1-byte codes: zeros there; it and a 1-byte run whose advance
+    table would be one past `_MAX_TABLES` append their advances to
+    `advances`), plus its decoded lengths if they are not all 1; nothing
+    is placed here, and the interpreter folds the run's advances only if
+    it reads the end tm.  `recorded()` hands the texts and buffers
+    over."""
 
     def __init__(self):
-        super().__init__()
         self.texts: List[str] = []
         self._codes = array.array("B")
         self._advances = array.array("d")
@@ -259,33 +229,23 @@ class SpanTextOutput(PlainTextOutput):
         self._tables: List[list] = []
         self._table_index: Dict[int, int] = {}
         self._page = 0
-
-    def get_text(self) -> str:
-        return place_text([self.recorded()], spans=False)[0][0]
-
-    @property
-    def spans(self) -> List[Tuple[int, int, int, float, float, float]]:
-        return list(zip(*(c.tolist() for c in
-                          resolve_span_columns([self.geometry()]))))
+        self.flip_ctm: Transform = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
     def recorded(self) -> Tuple[List[str], SpanGeometry]:
-        """(each run's text, the geometry), for `place_text`."""
-        return self.texts, self.geometry()
-
-    def geometry(self) -> SpanGeometry:
-        """The recorded buffers, which `place_text` and
-        `resolve_span_columns` leave as they are."""
+        """(each run's text, the geometry), for `place_text`, which
+        leaves the buffers as they are."""
         tables = array.array("d")
         for table in self._tables:
             tables.fromlist(table)
-        return SpanGeometry(self._codes, self._advances, tables,
-                            self._char_len, self._runs)
+        return self.texts, SpanGeometry(self._codes, self._advances, tables,
+                                        self._char_len, self._runs)
 
     def begin_page(self, page_num, media_box, art_box) -> None:
-        super().begin_page(page_num, media_box, art_box)
+        # the flip PlainTextOutput applies (src/lib.rs:2154-2156)
+        self.flip_ctm = (1.0, 0.0, 0.0, -1.0, 0.0, media_box[3] - media_box[1])
         self._page = page_num
 
-    def output_run(self, run, first: bool = True) -> None:
+    def output_run(self, run) -> None:
         (text, tfs, t4, t5, w_last, ctm, r4, r5, n, codes, advances,
          char_lens, t0, t1, _glyphs, _linear, _font_size, _spacing) = run
         self.texts.append(text)
@@ -310,7 +270,7 @@ class SpanTextOutput(PlainTextOutput):
             self._char_len.fromlist(char_lens)
         self._runs.fromlist([self._page, len(text), n, tfs, *ctm, r4, r5,
                              *self.flip_ctm, t0, t1, t4, t5, adv, lens,
-                             w_last, first])
+                             w_last])
 
 
 # glyphs per resolve step, and padded cells per group of runs folded
@@ -533,10 +493,9 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
         last_y[heads] = 0.0
         last_end[heads] = 100000.0
         dy = np.abs(y0 - last_y)
-        placed = runs[:, _FIRST] != 0.0
-        newlines = (placed & (dy > tfs * 1.5)).astype(np.int64)
-        newlines += placed & (x0 < last_end) & (dy > tfs * 0.5)
-        space = placed & (x0 > last_end + tfs * 0.1)
+        newlines = (dy > tfs * 1.5).astype(np.int64)
+        newlines += (x0 < last_end) & (dy > tfs * 0.5)
+        space = x0 > last_end + tfs * 0.1
     sep_len = newlines + space
     # each run's text offset in its document's text
     run_end = np.cumsum(sep_len + runs[:, _TLEN].astype(np.int64))
@@ -586,17 +545,6 @@ def place_text(docs: Sequence[Tuple[List[str], SpanGeometry]],
                          [len(geom.codes) for geom in geometries])
         columns = tuple(col[keep] for col in columns)
     return texts, columns
-
-
-def resolve_span_columns(geometries: Sequence[SpanGeometry]):
-    """The span columns of `geometries` (`place_text` without the
-    texts): page, start, end (int32) and x, y, font_size (float64).
-    Raises OverflowError if a document's text is longer than an int32
-    offset reaches."""
-    _sep, doc_len, columns = _place(geometries, True)
-    if (doc_len > _INT32_MAX).any():
-        raise OverflowError(SPAN_OVERFLOW)
-    return columns
 
 
 def insert_nbsp(text: str) -> str:

@@ -21,12 +21,14 @@ def main(argv=None) -> int:
     ap.add_argument("--output", required=True, help="output dir (parquet + manifests)")
     ap.add_argument("--pipeline", choices=["extract", "textprep", "ccprep"],
                     default="extract")
-    ap.add_argument("--num-partitions", type=int, default=None)
-    ap.add_argument("--batch-size", type=int, default=64)
+    ap.add_argument("--num-partitions", type=int, default=None,
+                    help="textprep/ccprep only: dedup shuffle partitions")
     ap.add_argument("--no-spans", action="store_true")
     ap.add_argument("--min-quality", type=float, default=None,
                     help="textprep only: drop rows below this quality score")
     args = ap.parse_args(argv)
+    if args.pipeline == "extract" and args.num_partitions is not None:
+        ap.error("--num-partitions: extract runs one partition per file")
 
     import ray
     if not ray.is_initialized():
@@ -52,10 +54,7 @@ def main(argv=None) -> int:
         return 0
 
     from .pipelines.extract import run_extract
-    job = run_extract(args.input, args.output,
-                      num_partitions=args.num_partitions,
-                      batch_size=args.batch_size,
-                      with_spans=not args.no_spans)
+    job = run_extract(args.input, args.output, with_spans=not args.no_spans)
     print(json.dumps({"pipeline": "extract", **job}))
     return 0
 

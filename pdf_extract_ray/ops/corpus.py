@@ -1938,7 +1938,7 @@ def c4prep_docs(ds, *, min_words: int = 3, min_lines: int = 2,
     downstream df-removal + dedup stages scan it three times — without
     the pin the whole upstream lineage re-executes per scan (measured
     3x wall at sf0.1).  At 100-TB scale swap the pin for a parquet
-    checkpoint (the textprep checkpoint_dir pattern)."""
+    checkpoint (the run_textprep pattern)."""
     import hashlib
 
     filtered = c4_line_filter(ds, min_words=min_words,

@@ -104,16 +104,14 @@ def _survivors(pages_ds, rules, num_partitions):
 
 def crawlprep_dataset(pages_ds, *,
                       rules: Iterable[Tuple[str, str]] = (),
-                      num_partitions: int = 32,
-                      batch_size: int = 64,
-                      with_spans: bool = False):
+                      num_partitions: int = 32):
     """Composed crawl-prep chain over a (url, html, ...) Dataset.
 
-    Returns the lazy extraction Dataset (RESULT_SCHEMA) over the pages
-    that survive robots filtering and canonical-URL dedup.  Unparseable
-    urls canonicalize to "" and form one dedup group — exactly one
-    survives, matching the "never throw away data silently" policy
-    (the extractor will then record its own status for that row).
+    Returns the lazy extraction Dataset (RESULT_SCHEMA, null spans) over
+    the pages that survive robots filtering and canonical-URL dedup.
+    Unparseable urls canonicalize to "" and form one dedup group —
+    exactly one survives, matching the "never throw away data silently"
+    policy (the extractor will then record its own status for that row).
 
     Scale shape: the PAYLOAD path is map-only end to end — robots
     drops are a batch filter, and dedup applies as a broadcast /
@@ -124,13 +122,12 @@ def crawlprep_dataset(pages_ds, *,
     beats shuffling payload bytes by orders of magnitude (A/B at
     sf0.1: 9.2 s -> see BASELINE.md)."""
     return extract_dataset(_survivors(pages_ds, rules, num_partitions),
-                           batch_size=batch_size, with_spans=with_spans)
+                           with_spans=False)
 
 
 def run_crawlprep(input_dir: str, output_dir: str, *,
                   rules: Iterable[Tuple[str, str]] = (),
                   num_partitions: int = 32,
-                  batch_size: int = 64,
                   resume: bool = True):
     """Checkpointed crawl-prep run, resumable at two granularities.
 
@@ -164,6 +161,5 @@ def run_crawlprep(input_dir: str, output_dir: str, *,
             "output": surv_dir})
 
     job = run_extract(surv_dir, os.path.join(output_dir, "extracted"),
-                      with_spans=False, resume=resume,
-                      batch_size=batch_size)
+                      with_spans=False, resume=resume)
     return {"urlprep": phase1, "extract": job}

@@ -17,13 +17,16 @@ Design notes (scale):
   `manifest/part-K.json` with lineage (input files, row counts) and
   metrics (status histogram, bytes, wall time).  A restarted job skips
   partitions whose manifest exists — a driver-side set difference, no
-  data-plane join (SURVEY.md §2.5).  The same commit rule (`_committed`,
-  `_commit`, `_rewrite_parquet`) marks the phases of the composed
-  textprep/ccprep/crawlprep/release runners done.
+  data-plane join (SURVEY.md §2.5); a resume over input files that no
+  longer match the manifests raises before any work (`_check_lineage`).
+  The same commit rule (`_committed`, `_commit`, `_rewrite_parquet`)
+  marks the phases of the composed textprep/ccprep/crawlprep/release
+  runners done.
 - Output is partitioned parquet (`out/part=K/`), never one giant file.
 """
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -35,7 +38,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-# span struct fields, in the column order of resolve_span_columns
+# rows per extraction UDF batch
+BATCH_SIZE = 64
+
+# span struct fields, in the column order of devices.place_text
 _SPAN_FIELDS = [
     ("page", pa.int32()),
     ("start", pa.int32()),
@@ -181,7 +187,7 @@ def _extract_batch(batch: pa.Table, *, with_spans: bool) -> pa.Table:
     return task_udf(ExtractBatch, with_spans=with_spans)(batch)
 
 
-def extract_dataset(ds, *, batch_size: int = 64, with_spans: bool = True):
+def extract_dataset(ds, *, with_spans: bool = True):
     """Attach the extraction stage to a Dataset of (url, html, ...) rows.
 
     Returns a lazy Dataset with RESULT_SCHEMA.  Plain-function
@@ -190,7 +196,7 @@ def extract_dataset(ds, *, batch_size: int = 64, with_spans: bool = True):
     per-execution actor spin-up cost and scheduling is fully elastic.
     """
     return ds.map_batches(_extract_batch, fn_kwargs={"with_spans": with_spans},
-                          batch_size=batch_size, batch_format="pyarrow")
+                          batch_size=BATCH_SIZE, batch_format="pyarrow")
 
 
 def read_pages(input_path, *, columns=("url", "html")):
@@ -263,20 +269,40 @@ def _rewrite_parquet(ds, out_dir: str, **write_kw) -> int:
                for f in _list_parquet_files(out_dir))
 
 
-def run_extract(input_dir: str, output_dir: str, *, num_partitions: Optional[int] = None,
-                batch_size: int = 64, with_spans: bool = True,
+def _check_lineage(manifest_dir: str, parts: Dict[int, List[str]]) -> None:
+    """Raise ValueError if a committed manifest names other input files
+    (by basename, the key `_partition_files` hashes) than its partition
+    gets now, or its partition is gone: a changed input remaps the
+    files, and resuming over it would lose and duplicate rows."""
+    for path in sorted(glob.glob(os.path.join(manifest_dir, "part-*.json"))):
+        with open(path) as f:
+            had = sorted(map(os.path.basename,
+                             json.load(f)["lineage"]["input_files"]))
+        now = sorted(map(os.path.basename,
+                         parts.get(int(os.path.basename(path)[5:-5]), [])))
+        if had != now:
+            raise ValueError(f"{path} lists input files {had}, but its "
+                             f"partition now gets {now}: the input "
+                             f"changed since that run")
+
+
+def run_extract(input_dir: str, output_dir: str, *, with_spans: bool = True,
                 resume: bool = True) -> Dict:
     """Checkpointed flagship run.  Returns the job-level metrics dict.
 
     `input_dir` is a parquet dir (searched recursively) or one parquet
-    file.  Each partition = a group of input files, run one after another
-    as one Ray job each; completed partitions are skipped on restart
-    (manifest present).  Partition manifests carry lineage + per-stage
-    metrics; job metrics are their merge.
+    file.  Each partition = a group of input files (one partition per
+    file, by hash), run one after another as one Ray job each; completed
+    partitions are skipped on restart (manifest present).  A resume
+    over a changed set of input files raises ValueError before any
+    partition runs (`_check_lineage`).  Partition manifests carry
+    lineage + per-stage metrics; job metrics are their merge.
     """
     files = _input_files(input_dir)
-    parts = _partition_files(files, num_partitions or len(files))
+    parts = _partition_files(files, len(files))
     manifest_dir = os.path.join(output_dir, "manifest")
+    if resume:
+        _check_lineage(manifest_dir, parts)
 
     job = {"partitions": 0, "skipped_partitions": 0, "rows": 0,
            "payload_bytes": 0, "extracted_chars": 0, "statuses": {},
@@ -288,8 +314,7 @@ def run_extract(input_dir: str, output_dir: str, *, num_partitions: Optional[int
             job["skipped_partitions"] += 1
             continue
         metrics = _commit(mpath, _run_partition(
-            pid, group, output_dir, batch_size=batch_size,
-            with_spans=with_spans))
+            pid, group, output_dir, with_spans=with_spans))
         job["partitions"] += 1
         job["rows"] += metrics["rows"]
         job["payload_bytes"] += metrics["payload_bytes"]
@@ -301,13 +326,12 @@ def run_extract(input_dir: str, output_dir: str, *, num_partitions: Optional[int
 
 
 def _run_partition(pid: int, files: List[str], output_dir: str, *,
-                   batch_size: int, with_spans: bool) -> Dict:
+                   with_spans: bool) -> Dict:
     """Extract + write one partition (one Ray job) and return its
     manifest; the caller commits it."""
     part_dir = os.path.join(output_dir, f"part={pid:05d}")
     t0 = time.perf_counter()
     rows = _rewrite_parquet(extract_dataset(read_pages(files),
-                                            batch_size=batch_size,
                                             with_spans=with_spans), part_dir)
     t1 = time.perf_counter()
     # metrics from the written footers + three columns, read on the driver

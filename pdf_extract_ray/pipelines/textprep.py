@@ -63,29 +63,20 @@ def _enrich(batch: pa.Table) -> pa.Table:
 
 
 def textprep_dataset(pages_ds, *, num_partitions: int = 32,
-                     min_quality: Optional[float] = None,
-                     batch_size: int = 64,
-                     checkpoint_dir: Optional[str] = None):
+                     min_quality: Optional[float] = None):
     """Composed pipeline over a (url, html) Dataset.
 
     The extracted/ok dataset feeds BOTH join inputs (full rows + the
     (md5,url) dedup decision).  Ray Data re-executes shared lazy lineage
     once per consumer, so the expensive extraction stage MUST be pinned
-    before the lineage forks: `checkpoint_dir` writes it to partitioned
-    parquet and re-reads (the 100-TB path — resumable, object store
-    stays small); otherwise it is materialized into the object store
-    (fine while extracted text × replication fits cluster memory).
-    Either way extraction runs exactly once.
+    before the lineage forks: it is materialized into the object store
+    (fine while extracted text × replication fits cluster memory), and
+    extraction runs exactly once.  `run_textprep` is the 100-TB path: it
+    pins it as run_extract's partitioned parquet (resumable, object
+    store stays small).
     """
-    extracted = extract_dataset(pages_ds, batch_size=batch_size,
-                                with_spans=False)
-    ok = extracted.map_batches(_keep_ok, batch_format="pyarrow")
-    if checkpoint_dir is not None:
-        import ray
-        ok.write_parquet(checkpoint_dir)
-        ok = ray.data.read_parquet(checkpoint_dir)
-    else:
-        ok = ok.materialize()
+    ok = extract_dataset(pages_ds, with_spans=False).map_batches(
+        _keep_ok, batch_format="pyarrow").materialize()
     return _dedup_enrich(ok, num_partitions=num_partitions,
                          min_quality=min_quality)
 
@@ -167,7 +158,7 @@ def run_textprep(input_dir: str, output_dir: str, *,
         return done  # whole job already finished
 
     job = run_extract(input_dir, extract_dir, with_spans=False,
-                      resume=resume, batch_size=64)
+                      resume=resume)
     result = _dedup_enrich(_read_extracted_ok(extract_dir), num_partitions=num_partitions,
                            min_quality=min_quality)
     n_out = _rewrite_parquet(result, final_dir)

@@ -67,7 +67,8 @@ _DRIVER = textwrap.dedent("""
 
         ex.os.replace = kill_replace
 
-    job = ex.run_extract({in_dir!r}, {out_dir!r}, batch_size=8)
+    ex.BATCH_SIZE = 8  # several UDF batches per partition
+    job = ex.run_extract({in_dir!r}, {out_dir!r})
     print("JOB " + json.dumps(job))
     ray.shutdown()
 """)
@@ -97,9 +98,11 @@ def corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def clean_reference(ray_session, corpus, tmp_path_factory):
-    from pdf_extract_ray.pipelines.extract import run_extract
+    from pdf_extract_ray.pipelines import extract
     out = str(tmp_path_factory.mktemp("clean_ref"))
-    job = run_extract(corpus, out, batch_size=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extract, "BATCH_SIZE", 8)
+        job = extract.run_extract(corpus, out)
     assert job["rows"] == N_ROWS
     return _rows_by_url(out)
 

@@ -1,14 +1,18 @@
 """Unit tests for the engine sub-operators (SURVEY.md §5 plan, item 1)."""
+import importlib.util
 import math
+import pathlib
 
 import pytest
 
 from pdf_extract_ray.engine.cmap import get_byte_mapping, get_unicode_map_raw
 from pdf_extract_ray.engine.content import parse_content
-from pdf_extract_ray.engine.devices import (PlainTextOutput, SpanTextOutput,
-                                            resolve_span_columns)
-from pdf_extract_ray.engine.interpreter import (IDENTITY, mul, translation,
-                                                transform_vector)
+from pdf_extract_ray.engine.api import (extract_text_and_span_columns_from_mem,
+                                        extract_text_from_mem)
+from pdf_extract_ray.engine.devices import (OutputDev, PlainTextOutput,
+                                            SpanTextOutput, place_text)
+from pdf_extract_ray.engine.interpreter import (IDENTITY, TextRun, mul,
+                                                translation, transform_vector)
 from pdf_extract_ray.engine.lexer import Lexer
 from pdf_extract_ray.engine.objects import (Name, PdfError, PdfString, Ref,
                                             f32, pdf_to_utf8, to_utf8)
@@ -159,66 +163,95 @@ class TestTransforms:
         assert transform_vector(m, 12, 12) == (12.0, 12.0)
 
 
+def _glyph_reference():
+    path = (pathlib.Path(__file__).resolve().parent.parent / "tools"
+            / "glyph_reference.py")
+    spec = importlib.util.spec_from_file_location("glyph_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _run(x, y, width, fs, text):
+    """A literal one-glyph text string at page (x, y) of a 792-high
+    page: tm translation (x, 792 - y) in an identity ctm, font size 1
+    in a text matrix scaled by fs (so tfs = fs)."""
+    return TextRun(text, fs, float(x), 792.0 - y, width,
+                   (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0, 0.0, 1, None,
+                   [width * fs], None, 1.0, 0.0, [(width, text, False)],
+                   (fs, 0.0, 0.0, fs), 1.0, (0.0, 0.0))
+
+
+def _placed(recorded):
+    """`place_text`'s text of one document, with and without spans."""
+    (text,), _columns = place_text([recorded])
+    assert place_text([recorded], spans=False)[0] == [text]
+    return text
+
+
 class TestPlainTextHeuristics:
     """The three thresholds at reference src/lib.rs:2169-2182, driven by
-    synthetic char events (FIXTURES.md §F5)."""
+    literal text runs and by content streams (FIXTURES.md §F5).  The
+    text PlainTextOutput gives must equal the text `place_text` places
+    from SpanTextOutput's records."""
 
-    def emit(self, events, media_box=(0, 0, 612, 792)):
-        """The text PlainTextOutput gives the events, which must equal
-        the text `place_text` places from SpanTextOutput's records."""
-        texts = []
-        for dev in (PlainTextOutput(), SpanTextOutput()):
+    def emit(self, runs, media_box=(0, 0, 612, 792)):
+        plain, span = PlainTextOutput(), SpanTextOutput()
+        for dev in (plain, span):
             dev.begin_page(1, media_box, None)
-            for word in events:
-                dev.begin_word()
-                for (x, y, width, fs, ch) in word:
-                    trm = (fs, 0.0, 0.0, fs, x, 792.0 - y)  # pre-flipped y
-                    dev.output_character(trm, width, 0.0, 1.0, ch)
-                dev.end_word()
+            for run in runs:
+                dev.output_run(run)
             dev.end_page()
-            texts.append(dev.get_text())
-        assert texts[0] == texts[1]
-        return texts[0]
+        assert _placed(span.recorded()) == plain.get_text()
+        return plain.get_text()
 
     def test_same_line_no_separator(self):
-        out = self.emit([[(72, 72, 0.5, 12, "A")], [(78, 72, 0.5, 12, "B")]])
+        out = self.emit([_run(72, 72, 0.5, 12, "A"),
+                         _run(78, 72, 0.5, 12, "B")])
         # gap 0 -> no space (78 == last_end 72+6)
         assert out.endswith("AB")
 
     def test_space_on_gap(self):
-        out = self.emit([[(72, 72, 0.5, 12, "A")], [(81, 72, 0.5, 12, "B")]])
+        out = self.emit([_run(72, 72, 0.5, 12, "A"),
+                         _run(81, 72, 0.5, 12, "B")])
         # 81 > 78 + 1.2 -> space
         assert out.endswith("A B")
 
     def test_newline_on_large_y_jump(self):
-        out = self.emit([[(72, 72, 0.5, 12, "A")], [(72, 110, 0.5, 12, "B")]])
+        out = self.emit([_run(72, 72, 0.5, 12, "A"),
+                         _run(72, 110, 0.5, 12, "B")])
         assert out.endswith("A\n\nB")  # both y-rules fire (left + >1.5x)
 
     def test_small_y_jump_same_column_no_newline(self):
-        out = self.emit([[(72, 72, 0.5, 12, "A")], [(90, 75, 0.5, 12, "B")]])
+        out = self.emit([_run(72, 72, 0.5, 12, "A"),
+                         _run(90, 75, 0.5, 12, "B")])
         # dy=3 < 18, moved right -> space only (x > last_end + 1.2)
         assert out.endswith("A B")
 
     def test_first_char_only_at_word_start(self):
-        out = self.emit([[(72, 72, 0.5, 12, "A"), (500, 300, 0.5, 12, "B")]])
-        # second char of the same word: no separators ever inserted
-        assert out.endswith("AB")
+        # Tc 500 puts each glyph far right of the one before: inside a
+        # string no separator is ever inserted, before the next string
+        # the same gap gives a space
+        pdf = _glyph_reference().page_pdf(
+            b"BT /F1 12 Tf 72 720 Td 500 Tc (AB) Tj (C) Tj ET")
+        out = extract_text_from_mem(pdf)
+        assert _placed(extract_text_and_span_columns_from_mem(pdf)) == out
+        assert out == "\n\nAB C"
 
 
 class TestSqrtNan:
     def test_negative_area_is_nan_not_crash(self):
-        dev = PlainTextOutput()
-        dev.begin_page(1, (0, 0, 612, 792), None)
-        dev.begin_word()
-        # mirrored transform -> tx*ty < 0 -> Rust sqrt gives NaN
-        trm = (-12.0, 0.0, 0.0, 12.0, 72.0, 720.0)
-        dev.output_character(trm, 0.5, 0.0, 1.0, "A")
-        dev.end_word()
-        assert dev.get_text() == "A"
+        # mirrored text matrix -> tx*ty < 0 -> Rust sqrt gives NaN, and
+        # every spacing rule compares false
+        pdf = _glyph_reference().page_pdf(
+            b"BT /F1 12 Tf -1 0 0 1 72 720 Tm (A) Tj ET")
+        recorded = extract_text_and_span_columns_from_mem(pdf)
+        assert math.isnan(place_text([recorded])[1][5][0])
+        assert extract_text_from_mem(pdf) == _placed(recorded) == "A"
 
 
 class TestSpanResolve:
-    """`resolve_span_columns` places glyphs in steps of SPAN_CHUNK glyphs,
+    """`place_text` places glyphs in steps of SPAN_CHUNK glyphs,
     for one document or several at once, without changing its input,
     and the UDF places a batch's rows in one `place_text` call.  None
     of that may show in the result; non-finite geometry must not raise
@@ -237,9 +270,6 @@ class TestSpanResolve:
             output_doc(doc, dev)
             recorded.append(dev.recorded())
         return recorded
-
-    def geometries(self):
-        return [geom for _texts, geom in self.recorded()]
 
     @staticmethod
     def copy(geom):
@@ -260,17 +290,22 @@ class TestSpanResolve:
         import numpy as np
 
         from pdf_extract_ray.engine import devices
-        geoms = self.geometries()
+        recorded = self.recorded()
+        geoms = [geom for _texts, geom in recorded]
         copies = [self.copy(g) for g in geoms]
-        whole = resolve_span_columns(geoms)
+        texts, whole = place_text(recorded)
         assert len(whole[0]) == sum(len(g.codes) for g in geoms) > 100
         monkeypatch.setattr(devices, "SPAN_CHUNK", budget)
-        stepped = resolve_span_columns(geoms)
+        assert place_text(recorded, spans=False) == (texts, None)
+        stepped = place_text(recorded)
+        assert stepped[0] == texts
         # one document at a time
+        alone = [place_text([r]) for r in recorded]
+        assert [t for (t,), _cols in alone] == texts
         alone = [np.concatenate(cols) for cols in zip(
-            *(resolve_span_columns([g]) for g in geoms))]
+            *(cols for _texts, cols in alone))]
         assert self.unchanged(geoms, copies)
-        for a, b, c in zip(whole, stepped, alone):
+        for a, b, c in zip(whole, stepped[1], alone):
             assert a.dtype == b.dtype == c.dtype
             assert repr(a.tolist()) == repr(b.tolist()) == repr(c.tolist())
 
@@ -309,33 +344,53 @@ class TestSpanResolve:
             assert texts == alone_texts
 
     def test_non_finite_geometry_propagates_without_raising(self):
+        """Literal two-glyph runs at +-inf/NaN positions, with an inf
+        linear part and an inf first advance (glyph 1 at t4 + inf * t0,
+        t5 + inf * t1 with t1 = 0: NaN): the span columns hold the
+        positions `OutputDev`'s per-glyph expansion gives, and the text
+        PlainTextOutput's."""
         import numpy as np
 
-        from pdf_extract_ray.engine.devices import place_text
+        from pdf_extract_ray.engine.interpreter import _sqrt_or_nan
         inf, nan = float("inf"), float("nan")
         trms = [(1.0, 0.0, 0.0, 1.0, inf, 5.0),
                 (inf, 0.0, 0.0, -inf, nan, 1.0),
                 (1.0, 0.0, 0.0, 1.0, -inf, inf),
                 (1.0, 0.0, 0.0, 1.0, 3.0, nan),
                 (1.0, 0.0, 0.0, 1.0, 3.0, 4.0)]
-        devs = (SpanTextOutput(), PlainTextOutput())
+        runs = []
+        for trm in trms:
+            tvx, tvy = transform_vector(trm, 12.0, 12.0)
+            runs.append(TextRun(
+                "xy", _sqrt_or_nan(tvx * tvy), trm[4], trm[5], inf,
+                (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0, 0.0, 2, None,
+                [inf, 6.0], None, 1.0, 0.0,
+                [(0.5, "x", False), (inf, "y", False)], trm[:4], 12.0,
+                (0.0, 0.0)))
+        flip = (1.0, 0.0, 0.0, -1.0, 0.0, 792.0)
+
+        class Positions(OutputDev):
+            def __init__(self):
+                self.xy = []
+
+            def output_character(self, trm, width, spacing, font_size,
+                                 char):
+                self.xy.append(mul(trm, flip)[4:])
+
+        devs = (SpanTextOutput(), PlainTextOutput(), Positions())
         for dev in devs:
             dev.begin_page(1, (0.0, 0.0, 612.0, 792.0), None)
-            for trm in trms:
-                dev.begin_word()
-                dev.output_character(trm, 0.5, 0.0, 12.0, "x")
-                dev.output_character(trm, inf, 0.0, 12.0, "y")
-                dev.end_word()
+            for run in runs:
+                dev.output_run(run)
         old = np.seterr(all="raise")
         try:
-            spans = devs[0].spans
             texts, columns = place_text([devs[0].recorded()])
             bare, none = place_text([devs[0].recorded()], spans=False)
         finally:
             np.seterr(**old)
-        flip = (1.0, 0.0, 0.0, -1.0, 0.0, 792.0)
-        assert repr([(x, y) for (_p, _s, _e, x, y, _fs) in spans[::2]]) \
-            == repr([mul(trm, flip)[4:] for trm in trms])
+        assert repr(list(zip(columns[3].tolist(), columns[4].tolist()))) \
+            == repr(devs[2].xy)
+        assert any(math.isnan(x) for x, _y in devs[2].xy[1::2])
         assert texts == bare == [devs[1].get_text()]
         assert none is None and len(columns[0]) == 2 * len(trms)
 

@@ -1,7 +1,7 @@
 """Glyph positions against an independent per-glyph reference.
 
 `show_text` hands a device one record per text string, and the span
-columns are resolved later in numpy (`devices.resolve_span_columns`),
+columns are resolved later in numpy (`devices.place_text`),
 which folds each run's advances into its glyphs' tm translations.
 These tests rebuild every glyph's (x, y, font size) the way the
 reference does it, glyph by glyph with full euclid products
@@ -441,9 +441,9 @@ def _strings(monkeypatch, cls):
     shown = [0]
     output_run = cls.output_run
 
-    def count(self, run, first=True):
+    def count(self, run):
         shown[0] += 1
-        return output_run(self, run, first)
+        return output_run(self, run)
 
     monkeypatch.setattr(cls, "output_run", count)
     return shown

@@ -12,6 +12,7 @@ import pytest
 from pdf_extract_ray.data.pages import make_pages_table, pages_parquet_path
 from pdf_extract_ray.engine.api import extract_text_from_mem
 from pdf_extract_ray.engine.html_extract import extract_html_text, sniff_payload
+from pdf_extract_ray.pipelines import extract
 from pdf_extract_ray.pipelines.extract import run_extract
 
 N_ROWS = 120
@@ -37,11 +38,19 @@ def reference_rows():
 
 
 @pytest.fixture(scope="module")
-def extract_run(ray_session, tmp_path_factory):
+def small_batches():
+    """8-row UDF batches: several batches per partition."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extract, "BATCH_SIZE", 8)
+        yield
+
+
+@pytest.fixture(scope="module")
+def extract_run(ray_session, small_batches, tmp_path_factory):
     in_dir = pages_parquet_path(N_ROWS, n_shards=4,
                                 cache_dir="/tmp/pdf_extract_ray_test_cache")
     out_dir = str(tmp_path_factory.mktemp("extract_out"))
-    job = run_extract(in_dir, out_dir, batch_size=8)
+    job = run_extract(in_dir, out_dir)
     return in_dir, out_dir, job
 
 
@@ -99,13 +108,13 @@ def test_resume_skips_completed(extract_run):
     in_dir, out_dir, _job = extract_run
     n_parts = len(glob.glob(os.path.join(out_dir, "manifest", "*.json")))
     # everything done -> full skip
-    job2 = run_extract(in_dir, out_dir, batch_size=8)
+    job2 = run_extract(in_dir, out_dir)
     assert job2["skipped_partitions"] == n_parts
     assert job2["partitions"] == 0
     # drop one manifest -> exactly that partition reruns
     victim = sorted(glob.glob(os.path.join(out_dir, "manifest", "*.json")))[0]
     os.remove(victim)
-    job3 = run_extract(in_dir, out_dir, batch_size=8)
+    job3 = run_extract(in_dir, out_dir)
     assert job3["partitions"] == 1
     assert job3["skipped_partitions"] == n_parts - 1
     assert os.path.exists(victim)
@@ -122,7 +131,8 @@ def test_output_partitioned(extract_run):
     assert len(parts) > 1  # never one giant file
 
 
-def test_zero_row_partition_commits_empty_manifest(ray_session, tmp_path):
+def test_zero_row_partition_commits_empty_manifest(ray_session, small_batches,
+                                                   tmp_path):
     """A partition whose input files hold no rows gets no parquet output
     (Ray writes no file for it) but still commits a manifest with
     rows 0, and a restart skips it like any other finished partition."""
@@ -139,7 +149,7 @@ def test_zero_row_partition_commits_empty_manifest(ray_session, tmp_path):
     pq.write_table(tbl.slice(0, 0), str(in_dir / names[1]))
     out_dir = str(tmp_path / "out")
 
-    job = run_extract(str(in_dir), out_dir, num_partitions=2, batch_size=8)
+    job = run_extract(str(in_dir), out_dir)
     assert job["partitions"] == 2 and job["rows"] == 8
     with open(os.path.join(out_dir, "manifest", "part-00001.json")) as f:
         empty = json.load(f)
@@ -148,8 +158,65 @@ def test_zero_row_partition_commits_empty_manifest(ray_session, tmp_path):
     assert empty["payload_bytes"] == 0 and empty["extracted_chars"] == 0
     assert len(load_results(out_dir)) == 8
 
-    job2 = run_extract(str(in_dir), out_dir, num_partitions=2, batch_size=8)
+    job2 = run_extract(str(in_dir), out_dir)
     assert job2["skipped_partitions"] == 2 and job2["partitions"] == 0
+
+
+def _html_file(in_dir, name, n=5):
+    """`name`.parquet with `n` small HTML rows."""
+    import pyarrow as pa
+    pq.write_table(pa.table({
+        "url": [f"https://example.org/{name}/{i}" for i in range(n)],
+        "html": pa.array([f"<html><body><p>{name} row {i}</p></body></html>"
+                          .encode() for i in range(n)], pa.binary())}),
+        str(in_dir / f"{name}.parquet"))
+
+
+def _tree(out_dir):
+    """Every file under `out_dir` with its size and mtime."""
+    return {os.path.relpath(os.path.join(root, f), out_dir):
+            (os.stat(os.path.join(root, f)).st_size,
+             os.stat(os.path.join(root, f)).st_mtime_ns)
+            for root, _dirs, files in os.walk(out_dir) for f in files}
+
+
+@pytest.mark.parametrize("before,after", [
+    # a third file remaps the partitions: resuming skipped a partition
+    # whose files had moved (pages-2's rows were lost) and reran one
+    # into its old files' output (pages-0's and pages-1's rows twice)
+    (["pages-0", "pages-1"], ["pages-0", "pages-1", "pages-2"]),
+    (["pages-0", "pages-1", "pages-2"], ["pages-0", "pages-2"])])
+def test_resume_over_changed_input_raises(ray_session, tmp_path, before,
+                                          after):
+    """A resume whose input files no longer match the committed
+    manifests raises ValueError before any partition runs and leaves
+    the output as it was; the first input resumes as before."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name in before:
+        _html_file(in_dir, name)
+    out_dir = str(tmp_path / "out")
+    first = run_extract(str(in_dir), out_dir)
+    assert first["rows"] == 5 * len(before)
+    tree = _tree(out_dir)
+
+    for name in set(after) - set(before):
+        _html_file(in_dir, name)
+    for name in set(before) - set(after):
+        os.remove(in_dir / f"{name}.parquet")
+    with pytest.raises(ValueError, match=r"part-\d{5}\.json lists input "
+                       r"files \['pages-"):
+        run_extract(str(in_dir), out_dir)
+    assert _tree(out_dir) == tree
+
+    for name in set(before) - set(after):
+        _html_file(in_dir, name)
+    for name in set(after) - set(before):
+        os.remove(in_dir / f"{name}.parquet")
+    job = run_extract(str(in_dir), out_dir)
+    assert job["skipped_partitions"] == first["partitions"]
+    assert job["partitions"] == 0
+    assert len(load_results(out_dir)) == 5 * len(before)
 
 
 def test_extract_checkpoint_reads_as_keep_ok(extract_run):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Same-process CPU A/B of the extraction UDF against another checkout.
+"""Same-process CPU A/B of the extraction UDF or the text API against
+another checkout.
 
 Imports this checkout's `pdf_extract_ray` and OTHER_CHECKOUT's in one
 process, as two packages (`pep_this`, `pep_other`: symlinks in a temp
@@ -16,13 +17,21 @@ separate benchmark processes do not.
 
 Usage:
     python tools/inproc_ab.py ../parent --workload crawl_mix --seed 3 \\
-        --rounds 30 [--layer spans] [--no-spans]
+        --rounds 30 [--layer spans|api] [--no-spans]
 
 `--layer udf` (the default) times whole UDF passes; `--layer spans`
 times `pipelines.extract._build_spans_array` alone, called as the UDF
 called it in the check pass (the batch resolve: text placement and the
 span columns; a checkout from before text placement moved there only
-builds the span columns in it).
+builds the span columns in it).  `--layer api` times the public API
+instead: `engine.api.extract_text_from_mem` and
+`extract_text_from_mem_by_pages` over the workload's PDF rows (its
+`PlainTextOutput` path, which the pipeline does not run); the texts,
+and the exceptions of rows that raise, must be equal.
+
+The host moves a ratio by a few percent either way: an A/A run (this
+checkout on both sides) and a run with the sides swapped belong next to
+any claim that rests on this tool.
 """
 import argparse
 import gc
@@ -43,6 +52,30 @@ def _load(pkg_dir: str, name: str, tmp: str):
     return import_module(f"{name}.pipelines.extract")
 
 
+def _api_side(pkg: str, table):
+    """(each PDF row's API outputs, a pass over them) for package `pkg`:
+    the text of `extract_text_from_mem` and the page texts of
+    `extract_text_from_mem_by_pages`, or the exception each raises."""
+    api = import_module(f"{pkg}.engine.api")
+    sniff = import_module(f"{pkg}.engine.html_extract").sniff_payload
+    pdfs = [p for p in table.column("html").to_pylist()
+            if sniff(p or b"") == "pdf"]
+
+    def run():
+        out = []
+        for pdf in pdfs:
+            row = []
+            for fn in (api.extract_text_from_mem,
+                       api.extract_text_from_mem_by_pages):
+                try:
+                    row.append(fn(pdf))
+                except Exception as e:
+                    row.append(f"{type(e).__name__}: {e}")
+            out.append(repr(row))
+        return out
+    return run(), run
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", help="the other checkout's root")
@@ -50,7 +83,8 @@ def main(argv=None) -> int:
                     help="perfbench workload name")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=11)
-    ap.add_argument("--layer", choices=("udf", "spans"), default="udf")
+    ap.add_argument("--layer", choices=("udf", "spans", "api"),
+                    default="udf")
     ap.add_argument("--no-spans", action="store_true",
                     help="run ExtractBatch(with_spans=False)")
     args = ap.parse_args(argv)
@@ -69,6 +103,9 @@ def main(argv=None) -> int:
         for name, root in (("this", ROOT), ("other", args.other)):
             extract = _load(os.path.join(root, "pdf_extract_ray"),
                             f"pep_{name}", tmp)
+            if args.layer == "api":
+                sides[name] = _api_side(f"pep_{name}", table)
+                continue
             udf = extract.ExtractBatch(with_spans=not args.no_spans)
             build, calls = extract._build_spans_array, []
             # the check pass records each batch's resolve call
