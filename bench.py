@@ -57,8 +57,7 @@ def run_headline(sf_dir: str):
     """
     import glob as _glob
     import __ray_entry__ as entrymod
-    from pdf_extract_ray.pipelines.extract import extract_dataset
-    import ray
+    from pdf_extract_ray.pipelines.extract import extract_dataset, read_pages
     pages_dir = os.environ.get("GRAFT_PAGES_DIR_OVERRIDE") or entrymod._pages_dir(sf_dir)
     import pyarrow.compute as pc_
 
@@ -66,8 +65,7 @@ def run_headline(sf_dir: str):
         """Stream the full pipeline; tiny projected columns come back to
         the driver (a write_parquet stand-in without IO variance —
         Dataset.sum() itself costs seconds and would pollute the metric)."""
-        ds = ray.data.read_parquet(path, columns=["url", "html"])
-        result = extract_dataset(ds)
+        result = extract_dataset(read_pages(path))
         proj = result.map_batches(
             lambda b: b.select(["payload_bytes", "n_chars"]),
             batch_format="pyarrow")

@@ -4,13 +4,35 @@ Equivalent of lopdf's `Content::decode` used at reference src/lib.rs:1582.
 Operands are parsed with the shared object lexer (numbers/strings/names/
 arrays/dicts); inline images (BI ... ID <binary> EI) are skipped as a unit.
 
-`parse_content` is a token scanner: one `findall` of `_CONTENT` per
-window of the stream yields one tuple per token, and the loop turns each
-into an operand or an operator.  The pattern takes whitespace and `%`
-comments, int and real numbers (converted as `parse_number` converts
-them), names without `#`, non-empty escape-free `(...)` strings and
-whole-byte `<hex>` strings, arrays of those one level deep,
-`true`/`false`/`null` and operators.
+The scanner is one `findall` of `_CONTENT` per window of the stream.
+Its first alternatives take a whole operation in one match, operator
+and operands, in one of four shapes:
+
+- numbers (none, one or several) and an operator: `72 700 Td`, `BT`,
+  `1 0 0 1 0 0 cm`, `q`, `0 0 m`, ... (`nums`, `op`);
+- one plain `(...)` string and an operator: `(Hi) Tj` (`s`, `sop`);
+- a name, numbers and an operator: `/F1 12 Tf`, `/Im0 Do` (`name`,
+  `nnums`, `nop`);
+- an array and an operator: `[(A) -120 (B)] TJ` (`arr`, `aop`).
+
+Inside such a match the separators are plain whitespace (no comments,
+no NUL), ints have at most 38 digits and reals at most 38 digits
+before the point, so converting its operands never raises (`_numbers`
+gives ints and f32 reals; the float of each, as `as_num` would give
+it, is `_num`).  A run of numbers with no operator after it is one
+match too (`run`), so a long run costs one scan.  The token
+alternatives after them take one operand each, as `parse_number`
+converts them: int and real numbers, names without `#`, non-empty
+escape-free `(...)` strings and whole-byte `<hex>` strings, arrays of
+those one level deep, `true`/`false`/`null`.  Each operation
+match is made of tokens the token alternatives would take one at a
+time, so the two kinds split the stream at the same places.
+
+`parse_content` builds the list of operations from these matches
+(`_operations`); `interpreter.Processor` consumes the same matches
+window by window without building it.  The operands read before an
+operation match (token matches, byte-loop steps) belong to its
+operation too: the consumer puts them first.
 
 A window (`_window_end`) ends at a whitespace byte at least `_WINDOW`
 bytes on, and never inside a comment, so a token the scanner takes
@@ -21,12 +43,13 @@ costs no more memory than the operations it yields.
 Fallback contract: at any token the pattern does not take (`BI`, `<<`
 property lists, nested arrays, escapes, empty strings and names, stray
 delimiters, `1.2.3`, a string the window end cuts, ...) its last
-alternative takes the rest of the window and ends the `findall`.
-`_CONTENT_RUN` re-matches the tokens before it to find its offset, one
-step of the byte loop (`_content_step`) parses it from the whole
-stream, and the scanner resumes after it.  So ops, operand values and
-error texts are those of the byte loop, `_parse_content_bytes`, which
-the tests hold the scanner to (tools/lexer_diff.py).
+alternative (`unknown`) takes the rest of the window and ends the
+`findall`.  `_CONTENT_RUN` re-matches the tokens before it to find its
+offset, one step of the byte loop (`_content_step`) parses it from the
+whole stream (`_step`), and the scanner resumes after it.  So ops,
+operand values and error texts are those of the byte loop,
+`_parse_content_bytes`, which the tests hold the scanner to
+(tools/lexer_diff.py).
 
 Every quantifier in the patterns must be possessive (`*+`, `++`): a
 backtracking run can end a token early and let its tail be read as a
@@ -36,7 +59,7 @@ from __future__ import annotations
 
 import re
 from binascii import unhexlify
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .lexer import _DELIMITED, _IS_REG, _REGULAR, Lexer, parse_number
 from .objects import NULL, Name, PdfError, PdfString, f32
@@ -69,19 +92,38 @@ def _plain(p: bytes) -> bytes:
     return rb"(?:" + p + rb")"
 
 
-_OPERATOR = (rb"(?!BI" + _DELIMITED + rb")[^\x00\t\n\x0c\r ()<>\[\]{}/%+\-.0-9]"
-             + _REGULAR + rb"*+")
+_OPERATOR = (rb"(?!(?:BI|true|false|null)" + _DELIMITED
+             + rb")[^\x00\t\n\x0c\r ()<>\[\]{}/%+\-.0-9]" + _REGULAR + rb"*+")
 # `[` and its items; the separator and `]` after them close the array
 _ARRAY_ITEMS = rb"\[(?:" + _SKIP + _plain(_values(_plain)) + rb")*+"
 _ARRAY_END = _SKIP + rb"\]"
 # one tuple per array item: (int, real, string, name, hex, keyword)
 _ARRAY_ITEM = re.compile(_SKIP + _plain(_values(_capture)))
-# one tuple per token: (int, real, string, name, hex, keyword, operator,
-# `[` and its items, first byte of an unknown token), all empty at the
-# end of the window
+# inside an operation match: a number whose conversion cannot raise
+# (float() of a 38-digit int is finite, f32() of a real below 1e38
+# too), then whitespace that `bytes.split` splits at
+_SP = rb"[\t\n\x0c\r ]"
+_NUMS = rb"(?:[+-]?+(?:\d{1,38}+(?:\.\d*+)?+|\.\d++)" + _SP + rb"++)"
+# one tuple per match, all empty at the end of the window:
+#   nums, op          numbers and an operator
+#   run               numbers and no operator
+#   s, sop            a string and an operator
+#   name, nnums, nop  a name, numbers and an operator
+#   arr, aop          `[` and its items, and an operator
+#   i, r, ts, tname, hexs, kw, tarr
+#                     one operand token: int, real, string, name, hex
+#                     string, keyword, `[` and its items
+#   unknown           the first byte of a token the pattern does not take
 _CONTENT = re.compile(
-    _SKIP + rb"(?:" + _values(_capture) + rb"|" + _capture(_OPERATOR)
-    + rb"|" + _capture(_ARRAY_ITEMS) + _ARRAY_END
+    _SKIP + rb"(?:"
+    + _capture(_NUMS + rb"*+") + _capture(_OPERATOR)
+    + rb"|" + _capture(_NUMS + rb"++")
+    + rb"|\(([^()\\]++)\)" + _SP + rb"*+" + _capture(_OPERATOR)
+    + rb"|/([^\x00\t\n\x0c\r ()<>\[\]{}/%#]++)" + _SP + rb"++"
+    + _capture(_NUMS + rb"*+") + _capture(_OPERATOR)
+    + rb"|" + _capture(_ARRAY_ITEMS) + _ARRAY_END + _SP + rb"*+"
+    + _capture(_OPERATOR)
+    + rb"|" + _values(_capture) + rb"|" + _capture(_ARRAY_ITEMS) + _ARRAY_END
     + rb"|\Z|(?s:(.).*+))")
 # the tokens `_CONTENT` takes from a position on, and the separator after
 # them: the match ends where the first token it does not take starts
@@ -96,42 +138,95 @@ _EOL = re.compile(rb"[\r\n]")
 _KEYWORDS = {b"true": True, b"false": False, b"null": NULL}
 
 
+def _numbers(nums: bytes) -> list:
+    """The operands of a `nums`/`run`/`nnums` group: ints and f32 reals."""
+    return [f32(float(t)) if b"." in t else int(t) for t in nums.split()]
+
+
+def _num(t: bytes) -> float:
+    """A number of such a group, as `as_num` gives it (`float(-0)` is
+    0.0, the float of the string `-0` is -0.0)."""
+    return f32(float(t)) if b"." in t else float(t) + 0.0
+
+
 def parse_content(data: bytes) -> List[Operation]:
     """The stream's operations, in order: each operator with the operands
     read since the previous one (see the module docstring)."""
-    ops: List[Operation] = []
+    return list(_operations(data, 0))
+
+
+def _operations(data: bytes, pos: int) -> Iterator[Operation]:
+    """The operations of `data[pos:]`, as `parse_content` lists them."""
     operands: list = []
-    pos = 0
     while True:
         end = _window_end(data, pos)
-        for (i, r, s, name, hexs, kw, op, arr,
+        for (nums, op, run, s, sop, name, nnums, nop, arr, aop,
+             i, r, ts, tname, hexs, kw, tarr,
              unknown) in _CONTENT.findall(data, pos, end):
-            if i:
+            if op:
+                if nums:
+                    operands += _numbers(nums)
+                yield op.decode("latin-1"), operands
+                operands = []
+            elif run:
+                operands += _numbers(run)
+            elif sop:
+                operands.append(PdfString(s))
+                yield sop.decode("latin-1"), operands
+                operands = []
+            elif nop:
+                operands.append(Name(name))
+                if nnums:
+                    operands += _numbers(nnums)
+                yield nop.decode("latin-1"), operands
+                operands = []
+            elif aop:
+                operands.append(_array(arr))
+                yield aop.decode("latin-1"), operands
+                operands = []
+            elif i:
                 operands.append(int(i))
             elif r:
                 operands.append(f32(float(r)))
-            elif op:
-                ops.append((op.decode("latin-1"), operands))
-                operands = []
-            elif s:
-                operands.append(PdfString(s))
-            elif name:
-                operands.append(Name(name))
-            elif arr:
-                operands.append(_array(arr))
+            elif ts:
+                operands.append(PdfString(ts))
+            elif tname:
+                operands.append(Name(tname))
+            elif tarr:
+                operands.append(_array(tarr))
             elif hexs:
                 operands.append(PdfString(unhexlify(hexs)))
             elif kw:
                 operands.append(_KEYWORDS[kw])
             elif unknown:
-                lx = Lexer(data, _CONTENT_RUN.match(data, pos, end).end())
-                operands = _content_step(lx, ops, operands)
-                pos = lx.pos
+                ops, operands, pos = _step(data, pos, end, operands)
+                yield from ops
                 break
         else:
             if end == len(data):
-                return ops
+                return
             pos = end
+
+
+def _step(data: bytes, pos: int, end: int, operands: list):
+    """The fallback at the `unknown` match of the window `data[pos:end]`:
+    one byte-loop step at the first token from `pos` that `_CONTENT`
+    does not take.  -> (the 0 or 1 operations it ends, the operands
+    after it, the position after it)."""
+    lx = Lexer(data, _CONTENT_RUN.match(data, pos, end).end())
+    ops: List[Operation] = []
+    operands = _content_step(lx, ops, operands)
+    return ops, operands, lx.pos
+
+
+def check_rest(data: bytes, pos: int) -> None:
+    """Scan `data[pos:]`, dropping its operations: raises what
+    `parse_content` would raise there.  A consumer that runs each
+    operation as it is scanned calls this when one fails, so that a
+    later parse error wins, as it does when the whole list is built
+    first."""
+    for _ in _operations(data, pos):
+        pass
 
 
 def _window_end(data: bytes, pos: int) -> int:

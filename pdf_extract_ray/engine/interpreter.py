@@ -5,19 +5,36 @@ Reproduces the reference's `Processor::process_stream` op dispatch
 (src/lib.rs:1276-1327) with float64 math in the same operation order as
 euclid's Transform2D (row-major, row-vector convention), so positions are
 bit-identical.
+
+`Processor.process_stream` runs a stream's operations as the content
+scanner matches them (`content._CONTENT`, one window at a time), so
+memory follows the window, not the stream.  An operation match with no
+operands read before it is handled from the match: Td, Tm, BT, ET, Tj
+and TJ inline (numbers converted as `as_num` would, through
+`content._num`); any other operator, and these with other operand
+counts or with operands from token matches or byte-loop steps before
+them, get their operand list built and go through `Processor.apply`,
+the one handler chain.  When an operation raises, the rest of the
+stream is scanned (`content.check_rest`): a later parse error is what
+raises then, as when the whole list was parsed first.  `parse_content`
+(the list form) stays the reference: tools/interp_diff.py feeds it
+through `apply` and compares device calls and exceptions.
 """
 from __future__ import annotations
 
 import logging
+from binascii import unhexlify
 from functools import reduce
 from itertools import repeat
 from math import isfinite
 from operator import add, itemgetter, mul as _fmul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .content import parse_content
+from .content import (_CONTENT, _KEYWORDS, _array, _num, _numbers, _step,
+                      _window_end, check_rest)
+from .content import parse_content  # noqa: F401  (the list form, by name)
 from .fonts import Glyph, PdfFont, make_font
-from .objects import (Name, PdfError, PdfString, Stream, as_num,
+from .objects import (Name, PdfError, PdfString, Stream, as_num, f32,
                       maybe_get_obj, require_dict)
 
 log = logging.getLogger(__name__)
@@ -383,192 +400,328 @@ class Processor:
 
     def _process_stream_inner(self, doc, content: bytes, resources: dict,
                               media_box, output, page_num: int) -> None:
-        operations = parse_content(content)
-        gs = GraphicsState()
-        gs_stack: List[GraphicsState] = []
-        mc_depth = 0
-        tlm: Transform = IDENTITY
-        path: List[tuple] = []
+        """Run the stream's operations as the scanner matches them, one
+        window at a time (see the module docstring)."""
+        st = StreamState(doc, resources, media_box, output, page_num)
+        apply = self.apply
+        operands: list = []
+        pos = 0
+        size = len(content)
+        try:
+            while True:
+                end = _window_end(content, pos)
+                for (nums, op, run, s, sop, name, nnums, nop, arr, aop,
+                     i, r, tstr, tname, hexs, kw, tarr,
+                     unknown) in _CONTENT.findall(content, pos, end):
+                    if op:
+                        if operands:
+                            if nums:
+                                operands += _numbers(nums)
+                            apply(st, op.decode("latin-1"), operands)
+                            operands = []
+                        elif op == b"Td":
+                            xy = nums.split()
+                            if len(xy) == 2:
+                                x, y = xy  # _num, inline
+                                x = (f32(float(x)) if b"." in x
+                                     else float(x) + 0.0)
+                                y = (f32(float(y)) if b"." in y
+                                     else float(y) + 0.0)
+                                st.tlm = tlm = mul((1.0, 0.0, 0.0, 1.0, x, y),
+                                                   st.tlm)
+                                ts = st.gs.ts
+                                ts.tm = tlm
+                                ts.pending = None
+                                output.end_line()
+                            else:
+                                apply(st, "Td", _numbers(nums))
+                        elif op == b"BT" or op == b"ET":
+                            st.tlm = IDENTITY
+                            ts = st.gs.ts
+                            ts.tm = IDENTITY
+                            ts.pending = None
+                        elif op == b"Tm":
+                            m = nums.split()
+                            if len(m) == 6:
+                                st.tlm = tlm = tuple(map(_num, m))
+                                ts = st.gs.ts
+                                ts.tm = tlm
+                                ts.pending = None
+                                output.end_line()
+                            else:
+                                apply(st, "Tm", _numbers(nums))
+                        else:
+                            apply(st, op.decode("latin-1"), _numbers(nums))
+                    elif sop:
+                        if operands or sop != b"Tj":
+                            operands.append(PdfString(s))
+                            apply(st, sop.decode("latin-1"), operands)
+                            operands = []
+                        else:
+                            show_text(st.gs, s, output)
+                    elif nop:
+                        operands.append(Name(name))
+                        if nnums:
+                            operands += _numbers(nnums)
+                        apply(st, nop.decode("latin-1"), operands)
+                        operands = []
+                    elif aop:
+                        if operands or aop != b"TJ":
+                            operands.append(_array(arr))
+                            apply(st, aop.decode("latin-1"), operands)
+                            operands = []
+                        else:
+                            _show_array(st.gs, _array(arr), output)
+                    elif run:
+                        operands += _numbers(run)
+                    elif i:
+                        operands.append(int(i))
+                    elif r:
+                        operands.append(f32(float(r)))
+                    elif tstr:
+                        operands.append(PdfString(tstr))
+                    elif tname:
+                        operands.append(Name(tname))
+                    elif tarr:
+                        operands.append(_array(tarr))
+                    elif hexs:
+                        operands.append(PdfString(unhexlify(hexs)))
+                    elif kw:
+                        operands.append(_KEYWORDS[kw])
+                    elif unknown:
+                        ops, operands, pos = _step(content, pos, end,
+                                                   operands)
+                        if ops:
+                            apply(st, *ops[0])
+                        break
+                else:
+                    if end == size:
+                        return
+                    pos = end
+        except Exception:
+            # the whole-list form parses the stream before it runs any
+            # operation: a parse error after this one is what it raises
+            check_rest(content, pos)
+            raise
 
-        for op, operands in operations:
-            if op == "TJ":
-                arr = operands[0] if operands else None
-                if isinstance(arr, list):
-                    ts = gs.ts
-                    for e in arr:
-                        if isinstance(e, PdfString):
-                            show_text(gs, bytes(e), output)
-                        elif isinstance(e, bool):
-                            pass
-                        elif isinstance(e, (int, float)):
-                            tj = float(e)
-                            tx = ts.horizontal_scaling * ((0.0 - tj / 1000.0) * ts.font_size)
-                            ts.tm = mul(translation(tx, 0.0), ts.settled_tm())
-            elif op == "Tj":
-                o = operands[0]
-                if not isinstance(o, PdfString):
-                    raise PdfError(f"unexpected Tj operand {o!r}")
-                show_text(gs, bytes(o), output)
-            elif op == "Td":
-                if len(operands) != 2:
-                    raise PdfError("Td needs 2 operands")
-                tlm = mul(translation(as_num(operands[0]), as_num(operands[1])), tlm)
-                gs.ts.tm = tlm
-                gs.ts.pending = None
-                output.end_line()
-            elif op == "TD":
-                if len(operands) != 2:
-                    raise PdfError("TD needs 2 operands")
-                tx, ty = as_num(operands[0]), as_num(operands[1])
-                gs.ts.leading = -ty
-                tlm = mul(translation(tx, ty), tlm)
-                gs.ts.tm = tlm
-                gs.ts.pending = None
-                output.end_line()
-            elif op == "T*":
-                tlm = mul(translation(0.0, -gs.ts.leading), tlm)
-                gs.ts.tm = tlm
-                gs.ts.pending = None
-                output.end_line()
-            elif op == "Tm":
-                if len(operands) != 6:
-                    raise PdfError("Tm needs 6 operands")
-                tlm = (as_num(operands[0]), as_num(operands[1]),
-                       as_num(operands[2]), as_num(operands[3]),
-                       as_num(operands[4]), as_num(operands[5]))
-                gs.ts.tm = tlm
-                gs.ts.pending = None
-                output.end_line()
-            elif op == "BT" or op == "ET":
-                tlm = IDENTITY
-                gs.ts.tm = tlm
-                gs.ts.pending = None
-            elif op == "cm":
-                if len(operands) != 6:
-                    raise PdfError("cm needs 6 operands")
-                m = (as_num(operands[0]), as_num(operands[1]),
-                     as_num(operands[2]), as_num(operands[3]),
-                     as_num(operands[4]), as_num(operands[5]))
-                gs.ctm = mul(m, gs.ctm)
-            elif op == "Tf":
-                fonts = require_dict(doc, resources, b"Font")
-                name = operands[0]
-                if not isinstance(name, Name):
-                    raise PdfError("Tf operand not a name")
-                key = bytes(name)
-                font = self.font_table.get(key)
-                if font is None:
-                    font = make_font(doc, require_dict(doc, fonts, key))
-                    self.font_table[key] = font
-                gs.ts.font = font
-                gs.ts.font_size = as_num(operands[1])
-                gs.ts.advances = None
-            elif op == "Tc":
-                gs.ts.character_spacing = as_num(operands[0])
-                gs.ts.advances = None
-            elif op == "Tw":
-                gs.ts.word_spacing = as_num(operands[0])
-                gs.ts.advances = None
-            elif op == "Tz":
-                gs.ts.horizontal_scaling = as_num(operands[0]) / 100.0
-                gs.ts.advances = None
-            elif op == "TL":
-                gs.ts.leading = as_num(operands[0])
-            elif op == "Ts":
-                gs.ts.rise = as_num(operands[0])
-            elif op == "q":
-                gs_stack.append(gs.clone())
-            elif op == "Q":
-                if gs_stack:
-                    gs = gs_stack.pop()
-                else:
-                    log.warning("No state to pop")
-            elif op == "gs":
-                ext_gstate = require_dict(doc, resources, b"ExtGState")
-                name = operands[0]
-                if not isinstance(name, Name):
-                    raise PdfError("gs operand not a name")
-                apply_state(doc, gs, require_dict(doc, ext_gstate, bytes(name)))
-            elif op == "CS":
-                name = operands[0]
-                if not isinstance(name, Name):
-                    raise PdfError("CS operand not a name")
-                gs.stroke_colorspace = make_colorspace(doc, bytes(name), resources)
-            elif op == "cs":
-                name = operands[0]
-                if not isinstance(name, Name):
-                    raise PdfError("cs operand not a name")
-                gs.fill_colorspace = make_colorspace(doc, bytes(name), resources)
-            elif op in ("SC", "SCN"):
-                if gs.stroke_colorspace == "Pattern":
-                    gs.stroke_color = []
-                else:
-                    gs.stroke_color = [as_num(x) for x in operands]
-            elif op in ("sc", "scn"):
-                if gs.fill_colorspace == "Pattern":
-                    gs.fill_color = []
-                else:
-                    gs.fill_color = [as_num(x) for x in operands]
-            elif op == "w":
-                gs.line_width = as_num(operands[0])
-            elif op == "m":
-                path.append(("m", as_num(operands[0]), as_num(operands[1])))
-            elif op == "l":
-                path.append(("l", as_num(operands[0]), as_num(operands[1])))
-            elif op == "c":
-                path.append(("c",) + tuple(as_num(x) for x in operands[:6]))
-            elif op == "v":
-                x, y = _current_point(path)
-                path.append(("c", x, y, as_num(operands[0]), as_num(operands[1]),
-                             as_num(operands[2]), as_num(operands[3])))
-            elif op == "y":
-                path.append(("c", as_num(operands[0]), as_num(operands[1]),
-                             as_num(operands[2]), as_num(operands[3]),
-                             as_num(operands[2]), as_num(operands[3])))
-            elif op == "h":
-                path.append(("h",))
-            elif op == "re":
-                path.append(("re",) + tuple(as_num(x) for x in operands[:4]))
-            elif op == "S":
-                output.stroke(gs.ctm, gs.stroke_colorspace, gs.stroke_color, path)
-                path = []
-            elif op in ("F", "f"):
-                output.fill(gs.ctm, gs.fill_colorspace, gs.fill_color, path)
-                path = []
-            elif op == "n":
-                path = []
-            elif op in ("BMC", "BDC"):
-                mc_depth += 1
-            elif op == "EMC":
-                mc_depth = max(0, mc_depth - 1)
-            elif op == "Do":
-                # recursive subdocument processing (src/lib.rs:1860-1869)
-                xobjects = require_dict(doc, resources, b"XObject")
-                name = operands[0]
-                if not isinstance(name, Name):
-                    raise PdfError("Do operand not a name")
-                xf = maybe_get_obj(doc, xobjects, bytes(name))
-                if not isinstance(xf, Stream):
-                    raise PdfError(f"missing XObject {bytes(name)!r}")
-                if xf.dict.get(b"Subtype") == b"Image":
-                    # DELIBERATE divergence: the reference recurses into
-                    # EVERY XObject (src/lib.rs:1860-1869) and panics
-                    # when the image entropy bytes fail Content::decode
-                    # (lib.rs:1582 .unwrap()) — i.e. every scanned PDF
-                    # crashes it.  Totalization trumps crash parity
-                    # (same policy as the Do depth cap): images carry
-                    # no text, skip them.
-                    continue
-                sub_res = xf.dict.get(b"Resources")
-                if sub_res is not None:
-                    from .objects import maybe_deref
-                    sub_res = maybe_deref(doc, sub_res)
-                sub_res = sub_res if isinstance(sub_res, dict) else resources
-                from .document import _contents_bytes
-                self.process_stream(doc, _contents_bytes(xf, doc), sub_res,
-                                    media_box, output, page_num)
-            # everything else is logged-and-ignored in the reference:
-            # i J j M d ri s f* B B* b W w* G g RG rg K k and unknowns
+    def apply(self, st: "StreamState", op: str, operands: list) -> None:
+        """Run one operation (src/lib.rs:1581-1876) on the stream state."""
+        gs = st.gs
+        if op == "TJ":
+            arr = operands[0] if operands else None
+            if isinstance(arr, list):
+                _show_array(gs, arr, st.output)
+        elif op == "Tj":
+            o = operands[0]
+            if not isinstance(o, PdfString):
+                raise PdfError(f"unexpected Tj operand {o!r}")
+            show_text(gs, bytes(o), st.output)
+        elif op == "Td":
+            if len(operands) != 2:
+                raise PdfError("Td needs 2 operands")
+            st.tlm = mul(translation(as_num(operands[0]), as_num(operands[1])),
+                         st.tlm)
+            gs.ts.tm = st.tlm
+            gs.ts.pending = None
+            st.output.end_line()
+        elif op == "TD":
+            if len(operands) != 2:
+                raise PdfError("TD needs 2 operands")
+            tx, ty = as_num(operands[0]), as_num(operands[1])
+            gs.ts.leading = -ty
+            st.tlm = mul(translation(tx, ty), st.tlm)
+            gs.ts.tm = st.tlm
+            gs.ts.pending = None
+            st.output.end_line()
+        elif op == "T*":
+            st.tlm = mul(translation(0.0, -gs.ts.leading), st.tlm)
+            gs.ts.tm = st.tlm
+            gs.ts.pending = None
+            st.output.end_line()
+        elif op == "Tm":
+            if len(operands) != 6:
+                raise PdfError("Tm needs 6 operands")
+            st.tlm = (as_num(operands[0]), as_num(operands[1]),
+                      as_num(operands[2]), as_num(operands[3]),
+                      as_num(operands[4]), as_num(operands[5]))
+            gs.ts.tm = st.tlm
+            gs.ts.pending = None
+            st.output.end_line()
+        elif op == "BT" or op == "ET":
+            st.tlm = IDENTITY
+            gs.ts.tm = IDENTITY
+            gs.ts.pending = None
+        elif op == "cm":
+            if len(operands) != 6:
+                raise PdfError("cm needs 6 operands")
+            m = (as_num(operands[0]), as_num(operands[1]),
+                 as_num(operands[2]), as_num(operands[3]),
+                 as_num(operands[4]), as_num(operands[5]))
+            gs.ctm = mul(m, gs.ctm)
+        elif op == "Tf":
+            doc = st.doc
+            fonts = require_dict(doc, st.resources, b"Font")
+            name = operands[0]
+            if not isinstance(name, Name):
+                raise PdfError("Tf operand not a name")
+            key = bytes(name)
+            font = self.font_table.get(key)
+            if font is None:
+                font = make_font(doc, require_dict(doc, fonts, key))
+                self.font_table[key] = font
+            gs.ts.font = font
+            gs.ts.font_size = as_num(operands[1])
+            gs.ts.advances = None
+        elif op == "Tc":
+            gs.ts.character_spacing = as_num(operands[0])
+            gs.ts.advances = None
+        elif op == "Tw":
+            gs.ts.word_spacing = as_num(operands[0])
+            gs.ts.advances = None
+        elif op == "Tz":
+            gs.ts.horizontal_scaling = as_num(operands[0]) / 100.0
+            gs.ts.advances = None
+        elif op == "TL":
+            gs.ts.leading = as_num(operands[0])
+        elif op == "Ts":
+            gs.ts.rise = as_num(operands[0])
+        elif op == "q":
+            st.gs_stack.append(gs.clone())
+        elif op == "Q":
+            if st.gs_stack:
+                st.gs = st.gs_stack.pop()
+            else:
+                log.warning("No state to pop")
+        elif op == "gs":
+            ext_gstate = require_dict(st.doc, st.resources, b"ExtGState")
+            name = operands[0]
+            if not isinstance(name, Name):
+                raise PdfError("gs operand not a name")
+            apply_state(st.doc, gs,
+                        require_dict(st.doc, ext_gstate, bytes(name)))
+        elif op == "CS":
+            name = operands[0]
+            if not isinstance(name, Name):
+                raise PdfError("CS operand not a name")
+            gs.stroke_colorspace = make_colorspace(st.doc, bytes(name),
+                                                   st.resources)
+        elif op == "cs":
+            name = operands[0]
+            if not isinstance(name, Name):
+                raise PdfError("cs operand not a name")
+            gs.fill_colorspace = make_colorspace(st.doc, bytes(name),
+                                                 st.resources)
+        elif op in ("SC", "SCN"):
+            if gs.stroke_colorspace == "Pattern":
+                gs.stroke_color = []
+            else:
+                gs.stroke_color = [as_num(x) for x in operands]
+        elif op in ("sc", "scn"):
+            if gs.fill_colorspace == "Pattern":
+                gs.fill_color = []
+            else:
+                gs.fill_color = [as_num(x) for x in operands]
+        elif op == "w":
+            gs.line_width = as_num(operands[0])
+        elif op == "m":
+            st.path.append(("m", as_num(operands[0]), as_num(operands[1])))
+        elif op == "l":
+            st.path.append(("l", as_num(operands[0]), as_num(operands[1])))
+        elif op == "c":
+            st.path.append(("c",) + tuple(as_num(x) for x in operands[:6]))
+        elif op == "v":
+            x, y = _current_point(st.path)
+            st.path.append(("c", x, y, as_num(operands[0]),
+                            as_num(operands[1]), as_num(operands[2]),
+                            as_num(operands[3])))
+        elif op == "y":
+            st.path.append(("c", as_num(operands[0]), as_num(operands[1]),
+                            as_num(operands[2]), as_num(operands[3]),
+                            as_num(operands[2]), as_num(operands[3])))
+        elif op == "h":
+            st.path.append(("h",))
+        elif op == "re":
+            st.path.append(("re",) + tuple(as_num(x) for x in operands[:4]))
+        elif op == "S":
+            st.output.stroke(gs.ctm, gs.stroke_colorspace, gs.stroke_color,
+                             st.path)
+            st.path = []
+        elif op in ("F", "f"):
+            st.output.fill(gs.ctm, gs.fill_colorspace, gs.fill_color,
+                           st.path)
+            st.path = []
+        elif op == "n":
+            st.path = []
+        elif op in ("BMC", "BDC"):
+            st.mc_depth += 1
+        elif op == "EMC":
+            st.mc_depth = max(0, st.mc_depth - 1)
+        elif op == "Do":
+            # recursive subdocument processing (src/lib.rs:1860-1869)
+            doc, resources = st.doc, st.resources
+            xobjects = require_dict(doc, resources, b"XObject")
+            name = operands[0]
+            if not isinstance(name, Name):
+                raise PdfError("Do operand not a name")
+            xf = maybe_get_obj(doc, xobjects, bytes(name))
+            if not isinstance(xf, Stream):
+                raise PdfError(f"missing XObject {bytes(name)!r}")
+            if xf.dict.get(b"Subtype") == b"Image":
+                # DELIBERATE divergence: the reference recurses into
+                # EVERY XObject (src/lib.rs:1860-1869) and panics
+                # when the image entropy bytes fail Content::decode
+                # (lib.rs:1582 .unwrap()) — i.e. every scanned PDF
+                # crashes it.  Totalization trumps crash parity
+                # (same policy as the Do depth cap): images carry
+                # no text, skip them.
+                return
+            sub_res = xf.dict.get(b"Resources")
+            if sub_res is not None:
+                from .objects import maybe_deref
+                sub_res = maybe_deref(doc, sub_res)
+            sub_res = sub_res if isinstance(sub_res, dict) else resources
+            from .document import _contents_bytes
+            self.process_stream(doc, _contents_bytes(xf, doc), sub_res,
+                                st.media_box, st.output, st.page_num)
+        # everything else is logged-and-ignored in the reference:
+        # i J j M d ri s f* B B* b W w* G g RG rg K k and unknowns
+
+
+class StreamState:
+    """The state of one content stream's run: the graphics state and
+    its stack, the text line matrix, the path and the marked-content
+    depth (locals of the reference's process_stream), and the arguments
+    the operations read."""
+    __slots__ = ("doc", "resources", "media_box", "output", "page_num",
+                 "gs", "gs_stack", "tlm", "path", "mc_depth")
+
+    def __init__(self, doc, resources: dict, media_box, output,
+                 page_num: int):
+        self.doc = doc
+        self.resources = resources
+        self.media_box = media_box
+        self.output = output
+        self.page_num = page_num
+        self.gs = GraphicsState()
+        self.gs_stack: List[GraphicsState] = []
+        self.tlm: Transform = IDENTITY
+        self.path: List[tuple] = []
+        self.mc_depth = 0
+
+
+def _show_array(gs: GraphicsState, arr: list, output) -> None:
+    """TJ: show each string, move tm by each number (/1000 of a text
+    space unit, against the writing direction)."""
+    ts = gs.ts
+    for e in arr:
+        if isinstance(e, PdfString):
+            show_text(gs, bytes(e), output)
+        elif isinstance(e, bool):
+            pass
+        elif isinstance(e, (int, float)):
+            tj = float(e)
+            tx = ts.horizontal_scaling * ((0.0 - tj / 1000.0) * ts.font_size)
+            ts.tm = mul(translation(tx, 0.0), ts.settled_tm())
 
 
 def _current_point(path: List[tuple]) -> Tuple[float, float]:

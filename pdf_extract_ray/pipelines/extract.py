@@ -1,11 +1,18 @@
 """The flagship Ray Data pipeline: Common-Crawl-style pages -> extracted text.
 
-    read_parquet(columns=[url, html])
-      -> map_batches(extract UDF, batch_format="pyarrow")
+    read_pages(columns=[url, html])       one read task per input file
+      -> map_batches(extract UDF, batch_size=None, batch_format="pyarrow")
       -> write_parquet(out/part=K/) + per-partition manifest (lineage+metrics)
 
 Design notes (scale):
 - Column pruning at the read: only `url` and `html` leave storage.
+- Ray runs the read and the extraction as one fused operator,
+  `ReadPages->MapBatches(_extract_batch)`, one task per input file: the
+  task reads the file row group by row group and extracts each block
+  in `BATCH_SIZE`-row slices, so no read output goes through the object
+  store.  Ray 2.49 fuses a read into a map only when the map takes
+  whole blocks, hence `batch_size=None`; `read_parquet` would also run
+  sampling tasks that read the input again on every call.
 - The extraction stage runs as task-compute map_batches on Ray's warm,
   reused worker processes (static tables + font/CMap caches are
   per-process module state; no per-execution actor spin-up).  The per-row
@@ -26,6 +33,7 @@ Design notes (scale):
 """
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -37,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 # rows per extraction UDF batch
 BATCH_SIZE = 64
@@ -182,9 +192,18 @@ class ExtractBatch:
             schema=RESULT_SCHEMA)
 
 
-def _extract_batch(batch: pa.Table, *, with_spans: bool) -> pa.Table:
+def _extract_batch(block: pa.Table, *, with_spans: bool,
+                   batch_size: int):
+    """The extraction of one block, `batch_size` rows at a time; a
+    zero-row block gives one empty RESULT_SCHEMA table (an empty block
+    would lose its schema)."""
     from ..util import task_udf
-    return task_udf(ExtractBatch, with_spans=with_spans)(batch)
+    if not block.num_rows:
+        yield RESULT_SCHEMA.empty_table()
+        return
+    udf = task_udf(ExtractBatch, with_spans=with_spans)
+    for off in range(0, block.num_rows, batch_size):
+        yield udf(block.slice(off, batch_size))
 
 
 def extract_dataset(ds, *, with_spans: bool = True):
@@ -194,15 +213,66 @@ def extract_dataset(ds, *, with_spans: bool = True):
     map_batches on Ray's warm, reused worker processes: static tables and
     the font/CMap caches are per-process module state, so there is no
     per-execution actor spin-up cost and scheduling is fully elastic.
+    The map takes whole blocks (`batch_size=None`, which lets Ray fuse
+    it into the read) and runs the UDF on `BATCH_SIZE`-row slices of
+    each; BATCH_SIZE is read here, when the plan is built.
     """
-    return ds.map_batches(_extract_batch, fn_kwargs={"with_spans": with_spans},
-                          batch_size=BATCH_SIZE, batch_format="pyarrow")
+    return ds.map_batches(_extract_batch,
+                          fn_kwargs={"with_spans": with_spans,
+                                     "batch_size": BATCH_SIZE},
+                          batch_size=None, batch_format="pyarrow")
+
+
+def _read_file(path: str, columns: List[str]):
+    """One pages file's `columns`, one table per row group; a file with
+    no rows gives one empty table with those columns."""
+    f = pq.ParquetFile(path)
+    n = 0
+    for i in range(f.num_row_groups):
+        table = f.read_row_group(i, columns=columns)
+        n += table.num_rows
+        yield table
+    if not n:
+        yield pa.schema([f.schema_arrow.field(c) for c in columns]
+                        ).empty_table()
+
+
+class PagesDatasource(Datasource):
+    """Parquet pages files, one read task per file, with the row count
+    and size its footer gives (Ray names the operator `ReadPages`)."""
+
+    def __init__(self, files: List[str], columns: List[str]):
+        self._files = files
+        self._columns = columns
+        self._meta = [pq.read_metadata(f) for f in files]
+
+    def _size(self, meta) -> int:
+        """The uncompressed bytes of the file's `columns`."""
+        return sum(chunk.total_uncompressed_size
+                   for rg in map(meta.row_group, range(meta.num_row_groups))
+                   for chunk in map(rg.column, range(rg.num_columns))
+                   if chunk.path_in_schema in self._columns)
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(map(self._size, self._meta))
+
+    def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
+        return [ReadTask(functools.partial(_read_file, f, self._columns),
+                         BlockMetadata(num_rows=meta.num_rows,
+                                       size_bytes=self._size(meta),
+                                       input_files=[f], exec_stats=None))
+                for f, meta in zip(self._files, self._meta)]
 
 
 def read_pages(input_path, *, columns=("url", "html")):
-    """Column-pruned read of the pages table."""
+    """Column-pruned read of the pages table: a parquet dir (searched
+    recursively), one parquet file, or a list of either.  One read task
+    per file, which reads it row group by row group; the row counts
+    come from the footers, so `count()` reads no data."""
     import ray
-    return ray.data.read_parquet(input_path, columns=list(columns))
+    files = _input_files(input_path)
+    return ray.data.read_datasource(PagesDatasource(files, list(columns)),
+        override_num_blocks=len(files))
 
 
 def _partition_files(files: List[str], num_partitions: int) -> Dict[int, List[str]]:
@@ -224,11 +294,15 @@ def _list_parquet_files(input_dir: str) -> List[str]:
     return sorted(out)
 
 
-def _input_files(input_path: str) -> List[str]:
+def _input_files(input_path) -> List[str]:
     """The parquet files under a (possibly hive-nested) dir, or the one
-    file a file path names."""
-    files = (_list_parquet_files(input_path) if os.path.isdir(input_path)
-             else [input_path])
+    file a file path names, or those of each entry of a list."""
+    paths = ([input_path] if isinstance(input_path, (str, os.PathLike))
+             else list(input_path))
+    files = []
+    for path in paths:
+        files += (_list_parquet_files(path) if os.path.isdir(path)
+                  else [os.fspath(path)])
     if not files:
         raise FileNotFoundError(f"no parquet under {input_path}")
     return files
@@ -295,7 +369,8 @@ def run_extract(input_dir: str, output_dir: str, *, with_spans: bool = True,
     file, by hash), run one after another as one Ray job each; completed
     partitions are skipped on restart (manifest present).  A resume
     over a changed set of input files raises ValueError before any
-    partition runs (`_check_lineage`).  Partition manifests carry
+    partition runs (`_check_lineage`); a fresh run (`resume=False`)
+    first removes every manifest and `part=*` directory.  Partition manifests carry
     lineage + per-stage metrics; job metrics are their merge.
     """
     files = _input_files(input_dir)
@@ -303,6 +378,12 @@ def run_extract(input_dir: str, output_dir: str, *, with_spans: bool = True,
     manifest_dir = os.path.join(output_dir, "manifest")
     if resume:
         _check_lineage(manifest_dir, parts)
+    else:
+        # a fresh run owns the whole output: a partition the input no
+        # longer has must not keep its rows
+        for stale in [manifest_dir] + glob.glob(
+                os.path.join(output_dir, "part=*")):
+            shutil.rmtree(stale, ignore_errors=True)
 
     job = {"partitions": 0, "skipped_partitions": 0, "rows": 0,
            "payload_bytes": 0, "extracted_chars": 0, "statuses": {},

@@ -182,9 +182,7 @@ def run_release(input_dir: str, output_dir: str, *,
     import os
     import time as _time
 
-    import ray
-
-    from .extract import _commit, _committed, _rewrite_parquet
+    from .extract import _commit, _committed, _rewrite_parquet, read_pages
 
     final_dir = os.path.join(output_dir, "release")
     marker = os.path.join(output_dir, "manifest", "release.json")
@@ -194,7 +192,7 @@ def run_release(input_dir: str, output_dir: str, *,
 
     timings: dict = {}
     t0 = _time.perf_counter()
-    pages = ray.data.read_parquet(input_dir, columns=["url", "html"])
+    pages = read_pages(input_dir)
     ds = release_dataset(pages, timings=timings, **kwargs)
     n_out = _rewrite_parquet(ds, final_dir, partition_cols=["shard"])
     timings["total"] = round(_time.perf_counter() - t0, 3)

@@ -195,7 +195,8 @@ if st is not None:
 
 def _fallback_counts(workload: str, seed: int, monkeypatch):
     """(content streams, streams with a byte-loop step) over the
-    pipeline UDF's pass of a perfbench workload."""
+    pipeline UDF's pass of a perfbench workload (a `Do` stream's steps
+    count for it, not for the stream that runs it)."""
     sys.path.insert(0, str(REPO / "perfbench"))
     try:
         import gen
@@ -203,23 +204,25 @@ def _fallback_counts(workload: str, seed: int, monkeypatch):
         sys.path.remove(str(REPO / "perfbench"))
     from pdf_extract_ray.pipelines.extract import ExtractBatch
 
-    steps = [0]
+    active = []  # byte-loop steps of each stream being run, innermost last
     streams = []
-    step, parse = content._content_step, interpreter.parse_content
+    step = content._content_step
+    process = interpreter.Processor.process_stream
 
     def counting_step(*args):
-        steps[0] += 1
+        active[-1] += 1
         return step(*args)
 
-    def counting_parse(data):
-        steps[0] = 0
+    def counting_process(self, *args):
+        active.append(0)
         try:
-            return parse(data)
+            return process(self, *args)
         finally:
-            streams.append(steps[0])
+            streams.append(active.pop())
 
     monkeypatch.setattr(content, "_content_step", counting_step)
-    monkeypatch.setattr(interpreter, "parse_content", counting_parse)
+    monkeypatch.setattr(interpreter.Processor, "process_stream",
+                        counting_process)
     table = gen.pages_table(gen.make_rows(workload, seed), seed)
     udf = ExtractBatch(with_spans=False)
     for off in range(0, table.num_rows, 64):
@@ -235,3 +238,67 @@ def test_fallback_rate_per_workload(monkeypatch):
     assert n > 1000 and fell_back == 0
     n, fell_back = _fallback_counts("crawl_mix", 1, monkeypatch)
     assert n > 1500 and fell_back / n < 0.06, (fell_back, n)
+
+
+def _interp_tool():
+    spec = importlib.util.spec_from_file_location(
+        "interp_diff", REPO / "tools" / "interp_diff.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture(scope="module")
+def interp_diff():
+    return _interp_tool()
+
+
+def test_interpreter_matches_list_reference(interp_diff, caplog):
+    """`Processor.process_stream`, which runs the scanner's matches as
+    they come, against `parse_content`'s list fed through the same
+    handlers (tools/interp_diff.py): same device calls, same exception
+    type and text, on seeded soups with mutated operands, separators,
+    property lists, inline images and window ends."""
+    caplog.set_level("ERROR")
+    assert interp_diff.sweep(1500, seed=20261020) == []
+
+
+@pytest.mark.parametrize("data", [
+    # a handler error first, a parse error later: the parse error wins
+    b"BT /F1 12 Tf 1 Td (x) Tj (abc", b"(x) Tj [1 2",
+    b"BT /F1 12 Tf 1 2 3 Tm " + b"1 2 Td " * 3000 + b"<41",
+    b"BT /F1 12 Tf 1 Td 1 " + b"7" * 45 + b".0 Td",
+    # operands the token path or the byte loop reads, then an operation
+    b"BT /F1 12 Tf /P <</MCID 0>> 1 2 Td (x) Tj ET",
+    b"BT /F1 12 Tf 1 %c\n2 Td (a) Tj 1\x002 Td (b) Tj ET",
+    b"BT /F1 12 Tf [(a) 5 (b)] 1 TJ ET", b"BT /F1 12 Tf 1 2 (a) Tj ET",
+    b"BT /F1 12 Tf 1 0 0 1 -0.0 -0.0 Tm -0 -0 Td (a) Tj ET",
+    b"BT /F1 12 Tf " + b"3" * 40 + b" 1 Td (a) Tj ET",
+    b"BT /F1 12 Tf " + b"9" * 400 + b" 1 Td (a) Tj ET",
+    b"BT /F1 12 Tf 1 " + b"4" * 39 + b".5 Td (a) Tj ET",
+    b"BT /F1 12 Tf 1 2 BI /W 1 ID \x00 EI Td (a) Tj ET"])
+def test_interpreter_edge_streams(interp_diff, data):
+    for window in (1, 5, content._WINDOW):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(content, "_WINDOW", window)
+            assert interp_diff.interpreter_divergence(data) is None, window
+
+
+def _process_peak(data: bytes) -> int:
+    from pdf_extract_ray.engine.devices import OutputDev
+    tracemalloc.start()
+    try:
+        interpreter.Processor().process_stream(None, data, {}, None,
+                                               OutputDev(), 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_operator_flood_memory_follows_the_window():
+    """A stream of 400k `n` operators peaks within 2x of one of 40k:
+    the interpreter holds one window's matches, not the stream's
+    operations (a list of them grows ~140 B per operation)."""
+    small, large = (_process_peak(b"n\n" * 40_000),
+                    _process_peak(b"n\n" * 400_000))
+    assert large < 2 * small, (small, large)

@@ -219,6 +219,115 @@ def test_resume_over_changed_input_raises(ray_session, tmp_path, before,
     assert len(load_results(out_dir)) == 5 * len(before)
 
 
+def test_fresh_run_drops_partitions_the_input_lost(ray_session, tmp_path):
+    """`resume=False` over an input that lost a file leaves only the
+    current files' rows: the lost file's partition and manifest go."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name in ("pages-0", "pages-1", "pages-2"):
+        _html_file(in_dir, name)
+    out_dir = str(tmp_path / "out")
+    assert run_extract(str(in_dir), out_dir)["rows"] == 15
+    os.remove(in_dir / "pages-1.parquet")
+    job = run_extract(str(in_dir), out_dir, resume=False)
+    assert job["rows"] == 10 and job["skipped_partitions"] == 0
+    rows = [r["url"] for f in glob.glob(os.path.join(out_dir, "part=*",
+                                                     "*.parquet"))
+            for r in pq.read_table(f, columns=["url"]).to_pylist()]
+    assert len(rows) == 10 and not [u for u in rows if "/pages-1/" in u]
+    manifests = glob.glob(os.path.join(out_dir, "manifest", "part-*.json"))
+    assert len(manifests) == 2
+    for path in manifests:
+        with open(path) as f:
+            assert "pages-1.parquet" not in str(json.load(f)["lineage"])
+
+
+def _pages_inputs(tmp_path):
+    """Input shapes of `read_pages`, each with the files it covers: a
+    zero-row file, a file of 3 row groups, a hive-nested directory, a
+    list of files, a file with an extra column."""
+    import pyarrow as pa
+
+    def table(tag, n, extra=False):
+        cols = {"url": pa.array([f"https://example.org/{tag}/{i}"
+                                 for i in range(n)], pa.string()),
+                "html": pa.array([f"<p>{tag} {i}</p>".encode()
+                                  for i in range(n)], pa.binary())}
+        if extra:
+            cols["lang"] = ["en"] * n
+        return pa.table(cols)
+
+    zero = str(tmp_path / "zero.parquet")
+    pq.write_table(table("zero", 0), zero)
+    groups = str(tmp_path / "groups.parquet")
+    pq.write_table(table("groups", 7), groups, row_group_size=3)
+    assert pq.ParquetFile(groups).num_row_groups == 3
+    hive = tmp_path / "hive"
+    nested = []
+    for k in range(2):
+        d = hive / f"crawl=c{k}" / "lang=en"
+        d.mkdir(parents=True)
+        nested.append(str(d / "pages.parquet"))
+        pq.write_table(table(f"hive{k}", 4 + k), nested[-1])
+    extra = str(tmp_path / "extra.parquet")
+    pq.write_table(table("extra", 5, extra=True), extra)
+    return [(zero, [zero]), (groups, [groups]), (str(hive), sorted(nested)),
+            ([groups, zero, extra], [groups, zero, extra]),
+            (extra, [extra])]
+
+
+def test_read_pages_rows_and_count(ray_session, tmp_path):
+    """`read_pages` gives the rows `pq.read_table(columns=[url, html])`
+    gives, in file order, and `count()` is the footers' row count."""
+    import pyarrow as pa
+    for path, files in _pages_inputs(tmp_path):
+        want = pa.concat_tables(pq.read_table(f, columns=["url", "html"])
+                                for f in files)
+        ds = extract.read_pages(path)
+        assert ds.count() == want.num_rows == sum(
+            pq.read_metadata(f).num_rows for f in files)
+        got = ds.take_all()
+        assert [(r["url"], r["html"]) for r in got] == list(zip(
+            want.column("url").to_pylist(), want.column("html").to_pylist()))
+        assert all(set(r) == {"url", "html"} for r in got)
+
+
+def test_read_and_extract_fuse_one_task_per_file(ray_session, small_batches,
+                                                  tmp_path):
+    """The read and the extraction run as one fused operator, one task
+    per input file, and give the UDF's rows."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name, n in (("pages-0", 5), ("pages-1", 19), ("pages-2", 0)):
+        _html_file(in_dir, name, n)
+    ds = extract.extract_dataset(extract.read_pages(str(in_dir)))
+    rows = ds.take_all()
+    udf = extract.ExtractBatch(with_spans=True)
+    want = [r for name in ("pages-0", "pages-1")
+            for r in udf(pq.read_table(str(in_dir / f"{name}.parquet")))
+            .to_pylist()]
+    assert len(rows) == 24 and rows == want
+    (op,) = [line for line in ds.stats().splitlines()
+             if line.startswith("Operator ")]
+    assert "ReadPages->MapBatches(_extract_batch): 3 tasks executed" in op
+
+
+def test_zero_row_block_keeps_result_schema(ray_session, tmp_path):
+    """A zero-row block gives one empty RESULT_SCHEMA table (an empty
+    block has no schema to pass on), and a zero-row input extracts to
+    nothing without error."""
+    import pyarrow as pa
+    (out,) = extract._extract_batch(
+        pa.table({"url": pa.array([], pa.string()),
+                  "html": pa.array([], pa.binary())}),
+        with_spans=True, batch_size=8)
+    assert out.schema == extract.RESULT_SCHEMA and out.num_rows == 0
+    zero = tmp_path / "zero.parquet"
+    _html_file(tmp_path, "zero", 0)
+    ds = extract.extract_dataset(extract.read_pages(str(zero)))
+    assert ds.count() == 0 and ds.take_all() == []
+
+
 def test_extract_checkpoint_reads_as_keep_ok(extract_run):
     """textprep/ccprep read the extract checkpoint with `_keep_ok`'s
     columns only: the hive-style `part=K` dirs add no `part` column."""

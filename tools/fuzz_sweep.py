@@ -2,15 +2,17 @@
 """Extended engine fuzz sweep: every pdfgen generator, random byte
 mutations + truncations + cross-document splices, through three public
 extraction surfaces, the pipeline UDF (`ExtractBatch`, spans on), the
-differential checks of the object lexer and the content-stream
-tokenizer, and a text-state surface, with a per-input SIGALRM watchdog.
+differential checks of the object lexer, the content-stream
+tokenizer and the content-stream interpreter, and a text-state surface, with a per-input SIGALRM watchdog.
 The UDF must stay total: an exception escaping it counts as a hard
 crash.  A divergence is counted apart: a mutated object body, framing
 or content stream on which a token scanner and its byte-level parser
 disagree (tools/lexer_diff.py), or a seeded soup of text-state and show
 ops whose resolved span columns differ from the per-glyph reference
 chain, or whose batch-placed text differs from `PlainTextOutput`'s
-(tools/glyph_reference.py; the soup's seed is the input's CRC-32).
+(tools/glyph_reference.py; the soup's seed is the input's CRC-32), or a
+mutated soup on which the interpreter and the list-fed handlers disagree
+(tools/interp_diff.py).
 
 The engine must never hang or hard-crash on corrupt input (the pipeline
 UDF totalizes exceptions to error rows, but a hang stalls a whole
@@ -21,6 +23,7 @@ TestCorruptXref for two real infinite loops found this way).
 
 Usage: python tools/fuzz_sweep.py [seconds=420] [seed=20260817]
 """
+import logging
 import os
 import random
 import signal
@@ -31,6 +34,7 @@ import zlib
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import glyph_reference  # tools/glyph_reference.py, next to this script
+import interp_diff  # tools/interp_diff.py, next to this script
 import lexer_diff  # tools/lexer_diff.py, next to this script
 import pdf_extract_ray.data.pdfgen as g
 from pdf_extract_ray.engine import extract_text_from_mem
@@ -109,6 +113,15 @@ def text_state(data: bytes):
         raise Diverged(f"{diff:.600}")
 
 
+def interpreter_differential(data: bytes):
+    """A mutated text-state soup seeded from the input, through the
+    interpreter and through `parse_content`'s list fed to the same
+    handlers (tools/interp_diff.py)."""
+    diff = interp_diff.seeded_divergence(data)
+    if diff:
+        raise Diverged(f"{diff!r:.600}")
+
+
 def main() -> int:
     budget = int(sys.argv[1]) if len(sys.argv) > 1 else 420
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20260817
@@ -122,6 +135,8 @@ def main() -> int:
                 pass
     print(f"generators: {len(gens)}")
 
+    logging.getLogger("pdf_extract_ray.engine.interpreter").setLevel(
+        logging.ERROR)  # `Q` with no saved state
     signal.signal(signal.SIGALRM, lambda s, f: (_ for _ in ()).throw(Hang()))
     rng = random.Random(seed)
     hangs = crashes = divergences = n = 0
@@ -129,7 +144,7 @@ def main() -> int:
     t_start = time.time()
     surfaces = [extract_text_from_mem, extract_text_from_mem_by_pages,
                 get_metadata, extract_batch, lexer_differential,
-                content_differential, text_state]
+                content_differential, text_state, interpreter_differential]
     while time.time() - t_start < budget:
         name, base = gens[rng.randrange(len(gens))]
         buf = bytearray(base)

@@ -70,11 +70,10 @@ def main():
     print(f"corpus: {pages_dir} (gen/cached in {time.time()-t0:.1f}s)",
           flush=True)
 
-    from pdf_extract_ray.pipelines.extract import extract_dataset
+    from pdf_extract_ray.pipelines.extract import extract_dataset, read_pages
 
     def read():
-        return ray.data.read_parquet(pages_dir,
-                                     columns=["url", "html"])
+        return read_pages(pages_dir)
 
     from ray.data.aggregate import Sum
 

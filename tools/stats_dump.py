@@ -25,10 +25,9 @@ def main() -> None:
     entry = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(entry)
 
-    from pdf_extract_ray.pipelines.extract import extract_dataset
+    from pdf_extract_ray.pipelines.extract import extract_dataset, read_pages
     pages = entry._pages_dir(sf_dir)
-    ds = ray.data.read_parquet(pages, columns=["url", "html"])
-    result = extract_dataset(ds).materialize()
+    result = extract_dataset(read_pages(pages)).materialize()
     print(result.stats())
     ray.shutdown()
 
