@@ -273,6 +273,7 @@ def test_interpreter_matches_list_reference(interp_diff, caplog):
     b"BT /F1 12 Tf 1 %c\n2 Td (a) Tj 1\x002 Td (b) Tj ET",
     b"BT /F1 12 Tf [(a) 5 (b)] 1 TJ ET", b"BT /F1 12 Tf 1 2 (a) Tj ET",
     b"BT /F1 12 Tf 1 0 0 1 -0.0 -0.0 Tm -0 -0 Td (a) Tj ET",
+    b"BT /F1 12 Tf 1 0 -0.0 1 -0.0 -0.0 Tm -0 -0 Td (a) Tj ET",
     b"BT /F1 12 Tf " + b"3" * 40 + b" 1 Td (a) Tj ET",
     b"BT /F1 12 Tf " + b"9" * 400 + b" 1 Td (a) Tj ET",
     b"BT /F1 12 Tf 1 " + b"4" * 39 + b".5 Td (a) Tj ET",
