@@ -3,23 +3,26 @@
 `OutputDev` is the user-extension surface (reference src/lib.rs:1879-1888).
 Text arrives one text string (a "run") at a time, as one
 `output_run(run)` call with a `interpreter.TextRun` record: the string's
-text, the scalars every device needs (transformed font size, the first
-glyph's tm translation, the last glyph's width) and what the other
-glyphs are placed from (the tm advance of each glyph, by 1-byte code or
-one per glyph).  No per-glyph matrix is built unless a device asks for
-it: `OutputDev`'s default `output_run` expands the record into the
-reference's per-glyph protocol, `begin_word`, one `output_character`
-per glyph with its full text-rendering matrix, and `end_word`, for
-`HTMLOutput` and user devices that override only `output_character`.
+text, its text state's `interpreter.RunState` (transformed font size,
+linear part, ctm, ...: one object shared by the strings of a text
+state), the first glyph's tm translation, the last glyph's width, and
+what the other glyphs are placed from (the tm advance of each glyph,
+by 1-byte code or one per glyph).  No per-glyph matrix is built unless
+a device asks for it: `OutputDev`'s default `output_run` expands the
+record into the reference's per-glyph protocol, `begin_word`, one
+`output_character` per glyph with its full text-rendering matrix, and
+`end_word`, for `HTMLOutput` and user devices that override only
+`output_character`.
 
 The text devices take whole runs.  `PlainTextOutput` is the
 byte-parity-critical word/line reconstruction (src/lib.rs:2131-2200);
 it places a run from its scalars and one fold of its advances
 (`interpreter.fold_run`), and returns the end tm.  `SpanTextOutput`
-places nothing: it records each run's text, one fixed-width record and,
-per glyph, its code (`SpanGeometry`), and `place_text` places the runs
-of one or many documents in numpy: the same text as `PlainTextOutput`,
-and the (page, start, end, x, y, font_size) span columns.
+places nothing: it records each text state once, each run's text and
+one short record and, per glyph, its code (`SpanGeometry`), and
+`place_text` places the runs of one or many documents in numpy: the
+same text as `PlainTextOutput`, and the (page, start, end, x, y,
+font_size) span columns.
 """
 from __future__ import annotations
 
@@ -62,24 +65,20 @@ class OutputDev:
     def output_run(self, run: TextRun) -> Optional[Tuple[float, float]]:
         """One text string's glyphs, in order (`interpreter.TextRun`
         says how glyph i is placed).  This default expands the record:
-        glyph i gets the text-rendering matrix `(*run.linear, e4, e5)`
-        with `e4 = r4 + (t4_i * c0 + t5_i * c2 + c4)` and
-        `e5 = r5 + (t4_i * c1 + t5_i * c3 + c5)`, its width and char,
-        and the spacing `spacing[1]` if it is a word space, else
+        with the run's `state`, glyph i gets the text-rendering matrix
+        `(*linear, e4, e5)` with `e4 = r4 + (t4_i * c0 + t5_i * c2 + c4)`
+        and `e5 = r5 + (t4_i * c1 + t5_i * c3 + c5)`, its width and
+        char, and the spacing `spacing[1]` if it is a word space, else
         `spacing[0]`."""
-        codes, advances, glyphs = run.codes, run.advances, run.glyphs
+        (_text, state, t4, t5, _w_last, _n, codes, advances, _char_lens,
+         glyphs) = run
+        ((a, b, c, d), (c0, c1, c2, c3, c4, c5), r4, r5, t0, t1, font_size,
+         (char_spacing, space_spacing)) = state[1:]
         if codes is not None:
             glyphs = list(map(glyphs.__getitem__, codes))
             advances = list(map(advances.__getitem__, codes))
-        t4s = accumulate(map(_fmul, advances, repeat(run.t0)),
-                         initial=run.t4)
-        t5s = accumulate(map(_fmul, advances, repeat(run.t1)),
-                         initial=run.t5)
-        a, b, c, d = run.linear
-        r4, r5 = run.r4, run.r5
-        c0, c1, c2, c3, c4, c5 = run.ctm
-        char_spacing, space_spacing = run.spacing
-        font_size = run.font_size
+        t4s = accumulate(map(_fmul, advances, repeat(t0)), initial=t4)
+        t5s = accumulate(map(_fmul, advances, repeat(t1)), initial=t5)
         out = self.output_character
         self.begin_word()
         for t4, t5, (width, char, word_space) in zip(t4s, t5s, glyphs):
@@ -138,8 +137,8 @@ class PlainTextOutput(OutputDev):
         give its first glyph, and move the line/word state past its last
         glyph.  -> the end tm translation, from the one fold of the
         run's advances (`interpreter.fold_run`)."""
-        (text, tfs, t4, t5, w_last, (c0, c1, c2, c3, c4, c5), r4,
-         r5) = run[:8]
+        text, state, t4, t5, w_last = run[:5]
+        tfs, _linear, (c0, c1, c2, c3, c4, c5), r4, r5 = state[:5]
         t4_last, t5_last, t4_end, t5_end = fold_run(run)
         # translation row of mul(trm, flip_ctm), inlined (only 4,5 used)
         f0, f1, f2, f3, f4, f5 = self.flip_ctm
@@ -161,19 +160,27 @@ class PlainTextOutput(OutputDev):
         return t4_end, t5_end
 
 
-# SpanTextOutput's per-run record: RUN_WIDTH doubles, in this order.
-# TLEN: the length of the run's text.  ADV >= 0: the run's glyphs are
-# 1-byte codes into advance table ADV of `SpanGeometry.tables`;
-# ADV < 0: its advances are `advances[-1 - ADV:][:n]`.  LENS: offset of
-# the run's decoded lengths in `char_len`, or -1 when each glyph
-# decodes to one char.  W: the last glyph's width / 1000.
-_RUN_FIELDS = ("page", "tlen", "n", "tfs", "c0", "c1", "c2", "c3", "c4",
-               "c5", "r4", "r5", "f0", "f1", "f2", "f3", "f4", "f5", "t0",
-               "t1", "t4", "t5", "adv", "lens", "w")
+# SpanTextOutput's records, in doubles.  A state record
+# (_STATE_FIELDS) holds what the runs of one text state on one page
+# share: the page, the transformed font size, ctm, the rise terms, the
+# flip ctm and tm's (t0, t1).  A run record (_RUN_FIELDS) holds STATE,
+# the index of its state record; TLEN, the length of the run's text;
+# N, its glyph count; tm's (t4, t5) at its first glyph; ADV >= 0: its
+# glyphs are 1-byte codes into advance table ADV of
+# `SpanGeometry.tables`, ADV < 0: its advances are
+# `advances[-1 - ADV:][:n]`; LENS, the offset of its decoded lengths
+# in `char_len`, or -1 when each glyph decodes to one char; W, the last
+# glyph's width / 1000.
+_STATE_FIELDS = ("page", "tfs", "c0", "c1", "c2", "c3", "c4", "c5", "r4",
+                 "r5", "f0", "f1", "f2", "f3", "f4", "f5", "t0", "t1")
+_RUN_FIELDS = ("state", "tlen", "n", "t4", "t5", "adv", "lens", "w")
+STATE_WIDTH = len(_STATE_FIELDS)
 RUN_WIDTH = len(_RUN_FIELDS)
-(_PAGE, _TLEN, _N, _TFS, _C0, _C1, _C2, _C3, _C4, _C5, _R4, _R5,
- _F0, _F1, _F2, _F3, _F4, _F5, _T0, _T1, _T4, _T5, _ADV,
- _LENS, _W) = range(RUN_WIDTH)
+# the columns `_place` reads per run: its state's fields, then its own
+# past STATE (`_concat` joins them)
+(_PAGE, _TFS, _C0, _C1, _C2, _C3, _C4, _C5, _R4, _R5, _F0, _F1, _F2, _F3,
+ _F4, _F5, _T0, _T1, _TLEN, _N, _T4, _T5, _ADV, _LENS,
+ _W) = range(STATE_WIDTH + RUN_WIDTH - 1)
 _INT32_MAX = 2 ** 31 - 1
 SPAN_OVERFLOW = "span offsets exceed int32"
 # the separators the spacing rules put before a run, by
@@ -194,15 +201,18 @@ class SpanGeometry(NamedTuple):
     runs that index no table, one per glyph; the advance tables the
     other 1-byte runs index, `_TABLE` doubles each (at most
     `_MAX_TABLES`); the decoded lengths of the runs whose glyphs are
-    not all one char; and per run one RUN_WIDTH-double
-    record (`_RUN_FIELDS`: page, text length, glyph count, transformed
-    font size, ctm, rise terms, flip ctm, tm's (t0, t1, t4, t5) at the
-    first glyph, advance source, lengths, last width)."""
+    not all one char; per run one RUN_WIDTH-double record
+    (`_RUN_FIELDS`: state record, text length, glyph count, tm's
+    (t4, t5) at the first glyph, advance source, lengths, last width);
+    and per text state and page one STATE_WIDTH-double record
+    (`_STATE_FIELDS`: page, transformed font size, ctm, rise terms,
+    flip ctm, tm's (t0, t1))."""
     codes: array.array
     advances: array.array
     tables: array.array
     char_len: array.array
     runs: array.array
+    states: array.array
 
 
 class SpanTextOutput(OutputDev):
@@ -211,13 +221,18 @@ class SpanTextOutput(OutputDev):
     with start/end as offsets into that text.
 
     It takes whole runs only.  A run appends its text to `texts`, one
-    fixed-width record to `runs` and its codes to `codes` (a font
-    without 1-byte codes: zeros there; it and a 1-byte run whose advance
-    table would be one past `_MAX_TABLES` append their advances to
-    `advances`), plus its decoded lengths if they are not all 1; nothing
-    is placed here, and the interpreter folds the run's advances only if
-    it reads the end tm.  `recorded()` hands the texts and buffers
-    over."""
+    short record to `runs` and its codes to `codes` (a font without
+    1-byte codes: zeros there; it and a 1-byte run whose advance table
+    would be one past `_MAX_TABLES` append their advances to
+    `advances`), plus its decoded lengths if they are not all 1.  The
+    run's `RunState` is recorded once, as one record in `states`, when
+    it is not the state recorded last or the page changed.  A run finds
+    its advance table by identity with the last run's; only a table
+    change looks it up by `id()`, which, like `array.array()`, costs
+    ~0.5 us under an audit hook (`import ray` installs one), so no
+    string pays for either.  Nothing is placed here, and the
+    interpreter folds the run's advances only if it reads the end tm.
+    `recorded()` hands the texts and buffers over."""
 
     def __init__(self):
         self.texts: List[str] = []
@@ -225,9 +240,16 @@ class SpanTextOutput(OutputDev):
         self._advances = array.array("d")
         self._char_len = array.array("i")
         self._runs = array.array("d")
+        self._states = array.array("d")
         # the advance tables runs index, and the index of each by id
         self._tables: List[list] = []
         self._table_index: Dict[int, int] = {}
+        # the last advance table a run indexed and its index, and the
+        # last state recorded and its index
+        self._table = None
+        self._adv = -1
+        self._state = None
+        self._state_at = -1
         self._page = 0
         self.flip_ctm: Transform = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -238,38 +260,50 @@ class SpanTextOutput(OutputDev):
         for table in self._tables:
             tables.fromlist(table)
         return self.texts, SpanGeometry(self._codes, self._advances, tables,
-                                        self._char_len, self._runs)
+                                        self._char_len, self._runs,
+                                        self._states)
 
     def begin_page(self, page_num, media_box, art_box) -> None:
         # the flip PlainTextOutput applies (src/lib.rs:2154-2156)
         self.flip_ctm = (1.0, 0.0, 0.0, -1.0, 0.0, media_box[3] - media_box[1])
         self._page = page_num
+        self._state = None
 
     def output_run(self, run) -> None:
-        (text, tfs, t4, t5, w_last, ctm, r4, r5, n, codes, advances,
-         char_lens, t0, t1, _glyphs, _linear, _font_size, _spacing) = run
+        (text, state, t4, t5, w_last, n, codes, advances, char_lens,
+         _glyphs) = run
         self.texts.append(text)
+        if state is not self._state:
+            self._state = state
+            self._state_at += 1
+            tfs, _linear, ctm, r4, r5, t0, t1 = state[:7]
+            self._states.fromlist([self._page, tfs, *ctm, r4, r5,
+                                   *self.flip_ctm, t0, t1])
         if codes is None:
             self._codes.frombytes(bytes(n))
-            adv = None
-        else:
-            self._codes.frombytes(codes)
-            adv = self._table_index.get(id(advances))
-            if adv is None and len(self._tables) < _MAX_TABLES:
-                adv = self._table_index[id(advances)] = len(self._tables)
-                self._tables.append(advances)
-            elif adv is None:
-                advances = list(map(advances.__getitem__, codes))
-        if adv is None:
             adv = -1 - len(self._advances)
             self._advances.fromlist(advances)
+        else:
+            self._codes.frombytes(codes)
+            if advances is self._table:
+                adv = self._adv
+            else:
+                adv = self._table_index.get(id(advances))
+                if adv is None and len(self._tables) < _MAX_TABLES:
+                    adv = self._table_index[id(advances)] = len(self._tables)
+                    self._tables.append(advances)
+                if adv is not None:
+                    self._table, self._adv = advances, adv
+                else:
+                    adv = -1 - len(self._advances)
+                    self._advances.fromlist(
+                        list(map(advances.__getitem__, codes)))
         if char_lens is None:
             lens = -1
         else:
             lens = len(self._char_len)
             self._char_len.fromlist(char_lens)
-        self._runs.fromlist([self._page, len(text), n, tfs, *ctm, r4, r5,
-                             *self.flip_ctm, t0, t1, t4, t5, adv, lens,
+        self._runs.fromlist([self._state_at, len(text), n, t4, t5, adv, lens,
                              w_last])
 
 
@@ -281,53 +315,68 @@ _FOLD_SLACK = 1 << 16
 
 
 def _concat(geometries: Sequence[SpanGeometry]):
-    """`geometries` as one: -> (codes, advance pool, char_len, runs, and
-    per run: the pool offset of its advances, whether they are a table
-    indexed by code, the char_len offset of its lengths or -1).  The
-    pool is the advance tables followed by the per-glyph advances."""
-    codes, advances, tables, char_len, runs = (
-        np.frombuffer(b"".join(bufs), dt) for bufs, dt in zip(
-            list(zip(*geometries)) or [()] * 5,
-            (np.uint8, np.float64, np.float64, np.int32, np.float64)))
+    """`geometries` as one: -> (codes, advance pool, char_len, and per
+    run: its fields -- its state record's, then its own past STATE, as
+    `_PAGE`.. `_W` index them --, the pool offset of its advances,
+    whether they are a table indexed by code, the char_len offset of its
+    lengths or -1; per document, its number of runs).  The pool is the advance tables followed by the
+    per-glyph advances; the state records are gathered once here."""
+    bufs = list(zip(*geometries)) or [()] * 6
+    codes, advances, tables, char_len, runs, states = (
+        np.frombuffer(b"".join(b), dt) for b, dt in zip(
+            bufs, (np.uint8, np.float64, np.float64, np.int32, np.float64,
+                   np.float64)))
     runs = runs.reshape(-1, RUN_WIDTH)
-    adv = runs[:, _ADV].astype(np.int64)
-    lens = runs[:, _LENS].astype(np.int64)
+    at_state = runs[:, 0].astype(np.int64)
+    fields = np.empty((len(runs), _W + 1))
+    fields[:, STATE_WIDTH:] = runs[:, 1:]
+    adv = fields[:, _ADV].astype(np.int64)
+    lens = fields[:, _LENS].astype(np.int64)
     is_code = adv >= 0
+    doc_runs = np.array([len(runs)])
     if len(geometries) > 1:
-        # per run, where its document's advances, tables and lengths
-        # start in the joined buffers
-        sizes = np.array([(len(g.advances), len(g.tables) // _TABLE,
-                           len(g.char_len), len(g.runs) // RUN_WIDTH)
-                          for g in geometries])
-        at = np.repeat((np.cumsum(sizes, axis=0) - sizes)[:, :3],
-                       sizes[:, 3], axis=0)
-        adv += np.where(is_code, at[:, 1], -at[:, 0])
-        lens += np.where(lens >= 0, at[:, 2], 0)
+        # per document, its numbers of advances, tables, lengths, runs
+        # and states; per run, where its document's advances, tables,
+        # lengths and states start in the joined buffers
+        sizes = np.array([list(map(len, b)) for b in bufs[1:]], np.int64)
+        sizes //= np.array([1, _TABLE, 1, RUN_WIDTH, STATE_WIDTH])[:, None]
+        doc_runs = sizes[3]
+        at = np.repeat(np.cumsum(sizes, axis=1) - sizes, sizes[3], axis=1)
+        adv += np.where(is_code, at[1], -at[0])
+        lens += np.where(lens >= 0, at[2], 0)
+        at_state += at[4]
+    fields[:, :STATE_WIDTH] = states.reshape(-1, STATE_WIDTH)[at_state]
     base = np.where(is_code, adv * _TABLE, len(tables) - 1 - adv)
-    return (codes, np.concatenate([tables, advances]), char_len, runs,
-            base, is_code, lens)
+    return (codes, np.concatenate([tables, advances]), char_len, fields,
+            base, is_code, lens, doc_runs)
 
 
-def _fold_runs(vals: np.ndarray, counts: np.ndarray) -> None:
-    """In place, for runs of `counts` values that cover `vals` in order:
-    each run becomes its running sum, added left to right one value at
-    a time, as `itertools.accumulate` adds (a cumsum over all runs minus
-    each run's offset would round differently).  The runs are the rows
-    of a 2-D array, padded at the end, and one cumsum along the rows
-    folds them all: one array for all runs when that wastes at most as
-    many cells as it holds values (plus `_FOLD_SLACK`), else one per
-    group of runs of similar length (sorted by length, at most
-    SPAN_CHUNK cells each, or one run).  Both stay: the groups bound the
+def _fold_runs(vals: np.ndarray, counts: np.ndarray, j: np.ndarray) -> None:
+    """In place, for runs of `counts` values that cover `vals` in order
+    (`j`: each value's position in its run): each run becomes its
+    running sum, added left to right one value at a time, as
+    `itertools.accumulate` adds (a cumsum over all runs minus each
+    run's offset would round differently).  The runs are the rows of a
+    2-D array, padded at the end, and one cumsum along the rows folds
+    them all: one array for all runs when that wastes at most as many
+    cells as it holds values (plus `_FOLD_SLACK`; filled by each
+    value's flat cell, which beats a boolean mask of the grid by
+    5-20% on the benchmark's steps), else one per group of runs of
+    similar length (sorted by length, at most SPAN_CHUNK cells each, or
+    one run).  Both stay: the groups bound the
     padding a few long runs among many short ones would cost, and
     grouping every step instead took 1.13x (crawl_mix) and 1.18x
     (large_pdfs) the span-build CPU of the single array (0/30 and 2/30
     wins; `tools/inproc_ab.py --layer spans`, one shared core)."""
-    if len(counts) * int(counts.max()) <= 2 * len(vals) + _FOLD_SLACK:
-        valid = np.arange(int(counts.max())) < counts[:, None]
-        grid = np.empty(valid.shape)  # pads are never read
-        grid[valid] = vals
+    width = int(counts.max())
+    if len(counts) * width <= 2 * len(vals) + _FOLD_SLACK:
+        cell = np.repeat(np.arange(0, len(counts) * width, width), counts)
+        cell += j
+        grid = np.empty((len(counts), width))  # pads are never read
+        flat = grid.reshape(-1)
+        flat[cell] = vals
         np.cumsum(grid, axis=1, out=grid)
-        vals[:] = grid[valid]
+        vals[:] = flat[cell]
         return
     first = np.cumsum(counts) - counts
     order = np.argsort(counts, kind="stable")
@@ -381,9 +430,10 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
     the span columns page, start, end (int32) and x, y, font_size
     (float64) when `spans`, else None).
 
-    A run's glyphs' tm translations (t4, t5) are rebuilt from its first
-    glyph's and the glyphs' advances: glyph j + 1's is glyph j's plus
-    its advance times (t0, t1), one add at a time, left to right
+    `_concat` joins the documents and gathers each run's state record
+    once.  A run's glyphs' tm translations (t4, t5) are rebuilt from its
+    first glyph's and the glyphs' advances: glyph j + 1's is glyph j's
+    plus its advance times (t0, t1), one add at a time, left to right
     (`_fold_runs`), as `interpreter.fold_run` folds them; `_xy` maps
     them to (x, y).  Without `spans`, only each run's first and last
     glyph are mapped.  Two shortcuts give the same bits as the general
@@ -391,9 +441,14 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
     documents: a run field with the same bits in every run of a step
     enters as a scalar, and t5 stays put in a run with t1 == 0,
     t5 != 0 and finite advances (the fold would add only zeros, and
-    t5 + (+-0.0) == t5), as in `fold_run`.  Runs are folded in steps
-    of about SPAN_CHUNK glyphs, so temporaries stay bounded however
-    large the input.
+    t5 + (+-0.0) == t5), as in `fold_run`.  A step skips the passes it
+    does not need: when every run indexes an advance table, the
+    per-glyph selection between code and position; when no run has
+    decoded lengths, the length sums (a glyph then starts at its
+    position j in the run and ends at j + 1); together 22.2 -> 18.4 ms
+    on large_pdfs seed 1 (548,453 glyphs).  Runs are folded in steps of
+    about SPAN_CHUNK glyphs, so temporaries stay bounded however large
+    the input.
 
     Then PlainTextOutput's spacing rules place each run by its first
     glyph against the previous run's last, all runs at once, from
@@ -401,7 +456,7 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
     run.  The input buffers are left as they are.  It cannot raise on
     buffers a SpanTextOutput recorded: NaN and inf propagate as they
     do in Python, and compare false."""
-    codes, pool, char_len, runs, base, is_code, lens_at = _concat(
+    codes, pool, char_len, runs, base, is_code, lens_at, doc_runs = _concat(
         geometries)
     counts = runs[:, _N].astype(np.int64)
     run_ends = np.cumsum(counts)
@@ -437,21 +492,23 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
             j = np.arange(g_end - g) - np.repeat(first, c)
             # each glyph's advance: by code into its run's table, or the
             # run's own advances in order
-            tx = pool[np.repeat(base[r:r_end], c) + np.where(
-                np.repeat(is_code[r:r_end], c), codes[g:g_end], j)]
+            at = np.repeat(base[r:r_end], c)
+            at += (codes[g:g_end] if is_code[r:r_end].all() else np.where(
+                np.repeat(is_code[r:r_end], c), codes[g:g_end], j))
+            tx = pool[at]
             # the tm translation: a run's first glyph's, then the fold
             t4, t5 = ((xs[g:g_end], ys[g:g_end]) if spans
                       else np.empty((2, g_end - g)))
             t4[1:] = (tx * field(_T0))[:-1]
             t4[first] = step[:, _T4]
-            _fold_runs(t4, c)
+            _fold_runs(t4, c, j)
             fold5 = (step[:, _T1] != 0.0) | (step[:, _T5] == 0.0)
             if not np.isfinite(tx).all():
                 fold5 |= np.logical_or.reduceat(~np.isfinite(tx), first)
             if fold5.any():
                 t5[1:] = (tx * field(_T1))[:-1]
                 t5[first] = step[:, _T5]
-                _fold_runs(t5, c)
+                _fold_runs(t5, c, j)
                 if not fold5.all():
                     t5[:] = np.where(np.repeat(fold5, c), t5, field(_T5))
             else:
@@ -471,20 +528,24 @@ def _place(geometries: Sequence[SpanGeometry], spans: bool):
             fss[g:g_end] = field(_TFS)
             pages[g:g_end] = field(_PAGE)
             # a glyph starts at the decoded lengths of its run's earlier
-            # glyphs (1 each in a run without lengths) past the run's
-            # text offset, which the placement below adds
-            lens = np.ones(g_end - g, np.int64)
-            sel = np.repeat(lens_at[r:r_end] >= 0, c)
-            lens[sel] = char_len[(np.repeat(lens_at[r:r_end], c) + j)[sel]]
-            before = np.cumsum(lens) - lens
-            starts[g:g_end] = start = before - np.repeat(before[first], c)
-            ends[g:g_end] = start + lens
+            # glyphs (1 each in a run without lengths: at j) past the
+            # run's text offset, which the placement below adds
+            has_lens = lens_at[r:r_end] >= 0
+            if not has_lens.any():
+                starts[g:g_end] = j
+                ends[g:g_end] = j + 1
+            else:
+                lens = np.ones(g_end - g, np.int64)
+                sel = np.repeat(has_lens, c)
+                lens[sel] = char_len[(np.repeat(lens_at[r:r_end], c)
+                                      + j)[sel]]
+                before = np.cumsum(lens) - lens
+                starts[g:g_end] = start = before - np.repeat(before[first], c)
+                ends[g:g_end] = start + lens
             r, g = r_end, g_end
         # the line/word state each run meets: the previous run's last
         # glyph's, or the device's first at a document's first run
         tfs = runs[:, _TFS]
-        doc_runs = np.array([len(geom.runs) // RUN_WIDTH
-                             for geom in geometries], np.int64)
         doc_first = np.cumsum(doc_runs) - doc_runs
         last_y, last_end = np.empty((2, n_runs))
         last_y[1:] = y1[:-1]

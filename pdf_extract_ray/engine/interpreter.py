@@ -26,7 +26,7 @@ import logging
 from binascii import unhexlify
 from functools import reduce
 from itertools import repeat
-from math import isfinite
+from math import copysign, isfinite
 from operator import add, itemgetter, mul as _fmul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -77,12 +77,19 @@ def _sqrt_or_nan(v: float) -> float:
 class TextState:
     # `advances`: the font's `AdvanceTable` for this font, size, Tc, Tw
     # and Tz, set by `show_text` and dropped by Tf, Tc, Tw and Tz.
+    # `state`: the `RunState` of the strings shown in this text state,
+    # built by `show_text` from the first one and dropped by every op
+    # that changes one of its inputs (Tf, Tc, Tw, Tz, Ts, Tm, BT, ET,
+    # cm, and a translation that does not keep tm's linear part bit for
+    # bit, `_keeps_state`); while it is set, tm's t0..t3 are the very
+    # float objects it was built from.  `stable`: whether those are all
+    # finite and none is -0.0, or None until a translation asks.
     # `pending`: the last shown `TextRun` whose advances `tm` does not
     # include yet (tm is still the one at its first glyph), or None;
     # `settled_tm` folds it in, and an op that sets tm drops it
     __slots__ = ("font", "font_size", "character_spacing", "word_spacing",
                  "horizontal_scaling", "leading", "rise", "tm", "advances",
-                 "pending")
+                 "state", "stable", "pending")
 
     def __init__(self):
         self.font: Optional[PdfFont] = None
@@ -94,10 +101,13 @@ class TextState:
         self.rise = 0.0
         self.tm: Transform = IDENTITY
         self.advances = None
+        self.state: Optional[RunState] = None
+        self.stable: Optional[bool] = None
         self.pending: Optional[TextRun] = None
 
     def settled_tm(self) -> Transform:
-        """tm, with the pending run's advances folded in (`fold_run`)."""
+        """tm, with the pending run's advances folded in (`fold_run`);
+        its t0..t3 stay the same objects."""
         run = self.pending
         if run is not None:
             self.pending = None
@@ -109,6 +119,73 @@ class TextState:
         for s in TextState.__slots__:
             setattr(c, s, getattr(self, s))
         return c
+
+
+def _keeps_state(ts: TextState, tlm: Transform) -> bool:
+    """Whether translating `tlm` (Td, TD, T*; tm itself for a TJ
+    number) into the new tm keeps `ts.state`, which must be set.
+
+    `mul(translation(tx, ty), tlm)` gives t0' = 1.0 * t0 + 0.0 * t2,
+    which is t0 bit for bit unless t0 is -0.0 or t2 is not finite
+    (0.0 * inf is NaN), and likewise t1..t3.  So the state holds when
+    tlm's t0..t3 are tm's (the objects the state was built from; after
+    `Q` or a TJ number that changed them they may differ) and they are
+    all finite and none is -0.0 (`ts.stable`, computed once per
+    state)."""
+    tm = ts.tm
+    if tlm is not tm and not (tlm[0] is tm[0] and tlm[1] is tm[1]
+                              and tlm[2] is tm[2] and tlm[3] is tm[3]):
+        return False
+    stable = ts.stable
+    if stable is None:
+        t0, t1, t2, t3 = tm[:4]
+        # a sum of finite values that overflows only says no more often
+        stable = ts.stable = isfinite(t0 + t1 + t2 + t3) and all(
+            t or copysign(1.0, t) > 0.0 for t in (t0, t1, t2, t3))
+    return stable
+
+
+def _translate(st: "StreamState", tx: float, ty: float) -> None:
+    """Td, TD and T*: tm = tlm = T(tx, ty) * tlm, pending run dropped;
+    the run state stays when the translation keeps tm's linear part
+    (`_keeps_state`), and the new tm reuses its float objects."""
+    ts = st.gs.ts
+    tlm = st.tlm
+    if ts.state is not None and _keeps_state(ts, tlm):
+        t0, t1, t2, t3, t4, t5 = tlm
+        tlm = (t0, t1, t2, t3, tx * t0 + ty * t2 + t4, tx * t1 + ty * t3 + t5)
+    else:
+        ts.state = None
+        tlm = mul(translation(tx, ty), tlm)
+    st.tlm = ts.tm = tlm
+    ts.pending = None
+    st.output.end_line()
+
+
+# Td's operands by the bytes of their match, converted as `as_num` would
+# (`content._num`): most documents repeat a few line offsets
+_TD_OPERANDS: Dict[bytes, Tuple[float, float]] = {}
+_TD_OPERANDS_MAX = 4096
+
+
+def _td_operands(nums: bytes) -> Optional[Tuple[float, float]]:
+    """-> Td's (tx, ty) from an operation match's numbers, cached in
+    `_TD_OPERANDS`, or None when they are not two."""
+    xy = nums.split()
+    if len(xy) != 2:
+        return None
+    if len(_TD_OPERANDS) >= _TD_OPERANDS_MAX:
+        _TD_OPERANDS.clear()
+    xy = _TD_OPERANDS[nums] = (_num(xy[0]), _num(xy[1]))
+    return xy
+
+
+def _set_tm(st: "StreamState", tm: Transform) -> None:
+    """Tm, BT and ET: tm = tlm = `tm`; pending run and run state dropped."""
+    st.tlm = tm
+    ts = st.gs.ts
+    ts.tm = tm
+    ts.state = ts.pending = None
 
 
 class GraphicsState:
@@ -138,52 +215,72 @@ class GraphicsState:
         return c
 
 
+class RunState(NamedTuple):
+    """What the strings of one text state share, computed once per text
+    state by `show_text` (`TextState.state`): with
+    `(t0, t1, t2, t3) = tm[:4]`, `(c0, ..., c5) = ctm`, `h` the
+    horizontal scaling and `(m0, m1, m2, m3)` the linear part of
+    tm * ctm, the linear part of trm = tsm * tm * ctm,
+    `linear = (h * m0 + 0.0 * m2, h * m1 + 0.0 * m3, 0.0 * m0 + m2,
+    0.0 * m1 + m3)`; the rise terms `(r4, r5) = (0.0 * m0 + rise * m2,
+    0.0 * m1 + rise * m3)`; the transformed font size `tfs`,
+    `sqrt(tvx * tvy)` (NaN when negative) of
+    `(tvx, tvy) = transform_vector(linear, font_size, font_size)`; tm's
+    t0 and t1, which a glyph's advance moves its tm translation by; and
+    the (char, word-space) `spacing` pair a glyph's `is_word_space`
+    picks from."""
+    tfs: float
+    linear: Tuple[float, float, float, float]
+    ctm: Transform
+    r4: float
+    r5: float
+    t0: float
+    t1: float
+    font_size: float
+    spacing: Tuple[float, float]
+
+
 class TextRun(NamedTuple):
     """One text string's glyphs, as `show_text` hands them to a device.
 
     Glyph i (of `n`) has the text-rendering matrix
     `(*linear, r4 + (t4_i * c0 + t5_i * c2 + c4),
-    r5 + (t4_i * c1 + t5_i * c3 + c5))` with `(c0, ..., c5) = ctm`,
-    where `(t4_0, t5_0) = (t4, t5)` and, with glyph i's advance `tx_i`,
-    `t4_{i+1} = t4_i + tx_i * t0` and `t5_{i+1} = t5_i + tx_i * t1`
-    (one add after the other, in glyph order; `fold_run` gives the last
-    glyph's and the end tm's).  `w_last` is the last glyph's
-    width / 1000, and `tfs` the transformed font size
-    `sqrt(tvx * tvy)` (NaN when negative) of
-    `(tvx, tvy) = transform_vector(linear, font_size, font_size)`.
+    r5 + (t4_i * c1 + t5_i * c3 + c5))`, the fields other than t4_i and
+    t5_i being the run's `state` (`RunState`, shared by the strings of
+    one text state), where `(t4_0, t5_0) = (t4, t5)` and, with glyph
+    i's advance `tx_i`, `t4_{i+1} = t4_i + tx_i * t0` and
+    `t5_{i+1} = t5_i + tx_i * t1` (one add after the other, in glyph
+    order; `fold_run` gives the last glyph's and the end tm's).
+    `w_last` is the last glyph's width / 1000.
 
     With a 1-byte font, `codes` are the string's codes, and glyph i is
     `glyphs[codes[i]]` with advance `advances[codes[i]]` (the font's
     glyph table and the text state's `fonts.AdvanceTable`); otherwise
     `codes` is None and `glyphs`/`advances` hold one entry per glyph.
-    A glyph is `(width / 1000, char, is_word_space)`; `spacing` is the
-    (char, word-space) pair its `is_word_space` picks from.  `char_lens`
-    is each glyph's decoded length, or None when all are 1.
+    A glyph is `(width / 1000, char, is_word_space)`.  `char_lens` is
+    each glyph's decoded length, or None when all are 1.
+
+    `show_text` hands devices a plain tuple in this field order (a
+    NamedTuple instance costs ~0.2 us more per string to build and
+    free), so a device reads a run by position or unpacks it; a
+    TextRun built by hand is the same record.
     """
     text: str
-    tfs: float
+    state: RunState
     t4: float
     t5: float
     w_last: float
-    ctm: Transform
-    r4: float
-    r5: float
     n: int
     codes: Optional[bytes]
     advances: Sequence[float]
     char_lens: Optional[List[int]]
-    t0: float
-    t1: float
     glyphs: Union[Dict[int, Glyph], Sequence[Glyph]]
-    linear: Tuple[float, float, float, float]
-    font_size: float
-    spacing: Tuple[float, float]
 
 
-_new_run = tuple.__new__  # TextRun from a tuple, without the keyword pass
+_new_tuple = tuple.__new__  # a NamedTuple from a tuple, no keyword pass
 _glyph_char = itemgetter(1)
-# a run's t4, t5, codes, advances, t0, t1
-_fold_fields = itemgetter(2, 3, 9, 10, 12, 13)
+# a run's t4, t5, codes, advances
+_fold_fields = itemgetter(2, 3, 6, 7)
 
 
 def fold_run(run: TextRun) -> Tuple[float, float, float, float]:
@@ -197,7 +294,9 @@ def fold_run(run: TextRun) -> Tuple[float, float, float, float]:
     unscaled tm skips the multiply; a finite t4 fold had finite
     advances, so with t1 == 0 every tx * t1 is a zero, and
     t5 + (+-0.0) == t5 when t5 != 0."""
-    t4, t5, codes, advances, t0, t1 = _fold_fields(run)
+    t4, t5, codes, advances = _fold_fields(run)
+    state = run[1]
+    t0, t1 = state.t0, state.t1
     if codes is not None:
         head, last = codes[:-1], codes[-1]
         get = advances.__getitem__
@@ -224,15 +323,19 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
 
     The reference builds each glyph's text-rendering matrix
     `trm = tsm * tm * ctm` and advances `tm` by `T(tx, 0)`.  Inside one
-    string only tm's translation (t4, t5) moves, so the run record
-    carries the string's geometry instead of matrices (see `TextRun`):
-    this function computes only what every device needs -- the text,
-    `tfs`, the first glyph's t4/t5 and the last glyph's width -- and
-    leaves the other glyphs to the device.  The products are euclid's,
-    minus the zero terms of tsm = (h, 0, 0, 1, 0, rise) and of the
-    advance translation: a zero product term only ever changes the sign
-    of a zero, which no downstream comparison can observe.  The advance
-    of a glyph is `h * (w0 * font_size + spacing)` (the reference's
+    string only tm's translation (t4, t5) moves, and across the strings
+    of one text state only that translation differs, so the run record
+    carries geometry instead of matrices (see `TextRun`): the text
+    state's `RunState` is computed once, by the first string shown in
+    it (`TextState.state`), and each string adds only its text, the
+    first glyph's t4/t5 and the last glyph's width, leaving the other
+    glyphs to the device.  The state's products are euclid's, every
+    term kept; the advance translation's zero terms are left out:
+    tm's t0..t3 are always finite (a real past float32's range raises
+    in the lexer, an int is a finite float, and a translation keeps
+    them finite), so such a term only ever changes the sign of a zero,
+    which no downstream comparison can observe.  The advance of a
+    glyph is `h * (w0 * font_size + spacing)` (the reference's
     `w0 - 0.0 / 1000.0` is `w0` bit for bit, NaN and -0.0 included); a
     1-byte font's come from the text state's cached `AdvanceTable`.
 
@@ -261,42 +364,54 @@ def show_text(gs: GraphicsState, s: bytes, output) -> None:
         text = "".join(chars)
         if len(text) != len(chars) or "" in chars:
             char_lens = list(map(len, chars))
-    h = ts.horizontal_scaling
-    font_size = ts.font_size
-    char_spacing = ts.character_spacing
-    space_spacing = char_spacing + ts.word_spacing
+    tm = ts.tm if ts.pending is None else ts.settled_tm()
+    state = ts.state
+    if state is None:
+        t0, t1, t2, t3, _t4, _t5 = tm
+        ctm = gs.ctm
+        c0, c1, c2, c3, _c4, _c5 = ctm
+        h = ts.horizontal_scaling
+        font_size = ts.font_size
+        char_spacing = ts.character_spacing
+        rise = ts.rise
+        # linear part of m = tm * ctm, then of trm = tsm * m with
+        # tsm = (h, 0, 0, 1, 0, rise), every term kept (0.0 * inf is NaN)
+        m0 = t0 * c0 + t1 * c2
+        m1 = t0 * c1 + t1 * c3
+        m2 = t2 * c0 + t3 * c2
+        m3 = t2 * c1 + t3 * c3
+        a = h * m0 + 0.0 * m2
+        b = h * m1 + 0.0 * m3
+        c = 0.0 * m0 + m2
+        d = 0.0 * m1 + m3
+        ts.state = state = _new_tuple(RunState, (
+            # tfs from transform_vector((a, b, c, d), font_size, font_size)
+            _sqrt_or_nan((font_size * a + font_size * c)
+                         * (font_size * b + font_size * d)),
+            (a, b, c, d), ctm, 0.0 * m0 + rise * m2, 0.0 * m1 + rise * m3,
+            t0, t1, font_size, (char_spacing, char_spacing + ts.word_spacing)))
+        ts.stable = None
     table = font.glyph_table
     if table is not None:  # 1-byte codes
         codes, n, glyphs = s, len(s), table
         advances = ts.advances
         if advances is None or advances.filled < len(table):
+            char_spacing, space_spacing = state.spacing
             advances = ts.advances = font.advance_table(
-                h, font_size, char_spacing, space_spacing)
+                ts.horizontal_scaling, state.font_size, char_spacing,
+                space_spacing)
         w_last = table[s[-1]][0]
     else:
         codes, n = None, len(glyphs)
+        h = ts.horizontal_scaling
+        font_size = state.font_size
+        char_spacing, space_spacing = state.spacing
         advances = [h * (w0 * font_size + (space_spacing if word_space
                                            else char_spacing))
                     for w0, _char, word_space in glyphs]
         w_last = glyphs[-1][0]
-    t0, t1, t2, t3, t4, t5 = tm = (ts.tm if ts.pending is None
-                                   else ts.settled_tm())
-    ctm = gs.ctm
-    c0, c1, c2, c3, _c4, _c5 = ctm
-    # linear part of m = tm * ctm; trm = tsm * m
-    a = h * (t0 * c0 + t1 * c2)
-    b = h * (t0 * c1 + t1 * c3)
-    m2 = t2 * c0 + t3 * c2
-    m3 = t2 * c1 + t3 * c3
-    rise = ts.rise
-    run = _new_run(TextRun, (
-        text,
-        # tfs from transform_vector((a, b, m2, m3), font_size, font_size)
-        _sqrt_or_nan((font_size * a + font_size * m2)
-                     * (font_size * b + font_size * m3)),
-        t4, t5, w_last, ctm, rise * m2, rise * m3, n, codes, advances,
-        char_lens, t0, t1, glyphs, (a, b, m2, m3), font_size,
-        (char_spacing, space_spacing)))
+    run = (text, state, tm[4], tm[5], w_last, n, codes, advances, char_lens,
+           glyphs)
     end = output.output_run(run)
     if end is None:
         ts.pending = run
@@ -420,33 +535,34 @@ class Processor:
                             apply(st, op.decode("latin-1"), operands)
                             operands = []
                         elif op == b"Td":
-                            xy = nums.split()
-                            if len(xy) == 2:
-                                x, y = xy  # _num, inline
-                                x = (f32(float(x)) if b"." in x
-                                     else float(x) + 0.0)
-                                y = (f32(float(y)) if b"." in y
-                                     else float(y) + 0.0)
-                                st.tlm = tlm = mul((1.0, 0.0, 0.0, 1.0, x, y),
-                                                   st.tlm)
+                            xy = _TD_OPERANDS.get(nums) or _td_operands(nums)
+                            if xy:
+                                x, y = xy
+                                # _translate, inline
                                 ts = st.gs.ts
-                                ts.tm = tlm
+                                tlm = st.tlm
+                                if ts.state is not None and (
+                                        ts.stable and tlm is ts.tm
+                                        or _keeps_state(ts, tlm)):
+                                    t0, t1, t2, t3, t4, t5 = tlm
+                                    tlm = (t0, t1, t2, t3,
+                                           x * t0 + y * t2 + t4,
+                                           x * t1 + y * t3 + t5)
+                                else:
+                                    ts.state = None
+                                    tlm = mul((1.0, 0.0, 0.0, 1.0, x, y),
+                                              tlm)
+                                st.tlm = ts.tm = tlm
                                 ts.pending = None
                                 output.end_line()
                             else:
                                 apply(st, "Td", _numbers(nums))
                         elif op == b"BT" or op == b"ET":
-                            st.tlm = IDENTITY
-                            ts = st.gs.ts
-                            ts.tm = IDENTITY
-                            ts.pending = None
+                            _set_tm(st, IDENTITY)
                         elif op == b"Tm":
                             m = nums.split()
                             if len(m) == 6:
-                                st.tlm = tlm = tuple(map(_num, m))
-                                ts = st.gs.ts
-                                ts.tm = tlm
-                                ts.pending = None
+                                _set_tm(st, tuple(map(_num, m)))
                                 output.end_line()
                             else:
                                 apply(st, "Tm", _numbers(nums))
@@ -519,38 +635,24 @@ class Processor:
         elif op == "Td":
             if len(operands) != 2:
                 raise PdfError("Td needs 2 operands")
-            st.tlm = mul(translation(as_num(operands[0]), as_num(operands[1])),
-                         st.tlm)
-            gs.ts.tm = st.tlm
-            gs.ts.pending = None
-            st.output.end_line()
+            _translate(st, as_num(operands[0]), as_num(operands[1]))
         elif op == "TD":
             if len(operands) != 2:
                 raise PdfError("TD needs 2 operands")
             tx, ty = as_num(operands[0]), as_num(operands[1])
             gs.ts.leading = -ty
-            st.tlm = mul(translation(tx, ty), st.tlm)
-            gs.ts.tm = st.tlm
-            gs.ts.pending = None
-            st.output.end_line()
+            _translate(st, tx, ty)
         elif op == "T*":
-            st.tlm = mul(translation(0.0, -gs.ts.leading), st.tlm)
-            gs.ts.tm = st.tlm
-            gs.ts.pending = None
-            st.output.end_line()
+            _translate(st, 0.0, -gs.ts.leading)
         elif op == "Tm":
             if len(operands) != 6:
                 raise PdfError("Tm needs 6 operands")
-            st.tlm = (as_num(operands[0]), as_num(operands[1]),
-                      as_num(operands[2]), as_num(operands[3]),
-                      as_num(operands[4]), as_num(operands[5]))
-            gs.ts.tm = st.tlm
-            gs.ts.pending = None
+            _set_tm(st, (as_num(operands[0]), as_num(operands[1]),
+                         as_num(operands[2]), as_num(operands[3]),
+                         as_num(operands[4]), as_num(operands[5])))
             st.output.end_line()
         elif op == "BT" or op == "ET":
-            st.tlm = IDENTITY
-            gs.ts.tm = IDENTITY
-            gs.ts.pending = None
+            _set_tm(st, IDENTITY)
         elif op == "cm":
             if len(operands) != 6:
                 raise PdfError("cm needs 6 operands")
@@ -558,6 +660,7 @@ class Processor:
                  as_num(operands[2]), as_num(operands[3]),
                  as_num(operands[4]), as_num(operands[5]))
             gs.ctm = mul(m, gs.ctm)
+            gs.ts.state = None
         elif op == "Tf":
             doc = st.doc
             fonts = require_dict(doc, st.resources, b"Font")
@@ -571,20 +674,21 @@ class Processor:
                 self.font_table[key] = font
             gs.ts.font = font
             gs.ts.font_size = as_num(operands[1])
-            gs.ts.advances = None
+            gs.ts.advances = gs.ts.state = None
         elif op == "Tc":
             gs.ts.character_spacing = as_num(operands[0])
-            gs.ts.advances = None
+            gs.ts.advances = gs.ts.state = None
         elif op == "Tw":
             gs.ts.word_spacing = as_num(operands[0])
-            gs.ts.advances = None
+            gs.ts.advances = gs.ts.state = None
         elif op == "Tz":
             gs.ts.horizontal_scaling = as_num(operands[0]) / 100.0
-            gs.ts.advances = None
+            gs.ts.advances = gs.ts.state = None
         elif op == "TL":
             gs.ts.leading = as_num(operands[0])
         elif op == "Ts":
             gs.ts.rise = as_num(operands[0])
+            gs.ts.state = None
         elif op == "q":
             st.gs_stack.append(gs.clone())
         elif op == "Q":
@@ -721,7 +825,14 @@ def _show_array(gs: GraphicsState, arr: list, output) -> None:
         elif isinstance(e, (int, float)):
             tj = float(e)
             tx = ts.horizontal_scaling * ((0.0 - tj / 1000.0) * ts.font_size)
-            ts.tm = mul(translation(tx, 0.0), ts.settled_tm())
+            tm = ts.settled_tm()
+            if ts.state is not None and (ts.stable or _keeps_state(ts, tm)):
+                t0, t1, t2, t3, t4, t5 = tm
+                ts.tm = (t0, t1, t2, t3, tx * t0 + 0.0 * t2 + t4,
+                         tx * t1 + 0.0 * t3 + t5)
+            else:
+                ts.state = None
+                ts.tm = mul(translation(tx, 0.0), tm)
 
 
 def _current_point(path: List[tuple]) -> Tuple[float, float]:

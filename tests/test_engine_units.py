@@ -11,8 +11,9 @@ from pdf_extract_ray.engine.api import (extract_text_and_span_columns_from_mem,
                                         extract_text_from_mem)
 from pdf_extract_ray.engine.devices import (OutputDev, PlainTextOutput,
                                             SpanTextOutput, place_text)
-from pdf_extract_ray.engine.interpreter import (IDENTITY, TextRun, mul,
-                                                translation, transform_vector)
+from pdf_extract_ray.engine.interpreter import (IDENTITY, RunState, TextRun,
+                                                mul, transform_vector,
+                                                translation)
 from pdf_extract_ray.engine.lexer import Lexer
 from pdf_extract_ray.engine.objects import (Name, PdfError, PdfString, Ref,
                                             f32, pdf_to_utf8, to_utf8)
@@ -176,10 +177,10 @@ def _run(x, y, width, fs, text):
     """A literal one-glyph text string at page (x, y) of a 792-high
     page: tm translation (x, 792 - y) in an identity ctm, font size 1
     in a text matrix scaled by fs (so tfs = fs)."""
-    return TextRun(text, fs, float(x), 792.0 - y, width,
-                   (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0, 0.0, 1, None,
-                   [width * fs], None, 1.0, 0.0, [(width, text, False)],
-                   (fs, 0.0, 0.0, fs), 1.0, (0.0, 0.0))
+    state = RunState(fs, (fs, 0.0, 0.0, fs), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+                     0.0, 0.0, 1.0, 0.0, 1.0, (0.0, 0.0))
+    return TextRun(text, state, float(x), 792.0 - y, width, 1, None,
+                   [width * fs], None, [(width, text, False)])
 
 
 def _placed(recorded):
@@ -361,12 +362,12 @@ class TestSpanResolve:
         runs = []
         for trm in trms:
             tvx, tvy = transform_vector(trm, 12.0, 12.0)
+            state = RunState(_sqrt_or_nan(tvx * tvy), trm[:4],
+                             (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0, 0.0, 1.0,
+                             0.0, 12.0, (0.0, 0.0))
             runs.append(TextRun(
-                "xy", _sqrt_or_nan(tvx * tvy), trm[4], trm[5], inf,
-                (1.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0, 0.0, 2, None,
-                [inf, 6.0], None, 1.0, 0.0,
-                [(0.5, "x", False), (inf, "y", False)], trm[:4], 12.0,
-                (0.0, 0.0)))
+                "xy", state, trm[4], trm[5], inf, 2, None, [inf, 6.0], None,
+                [(0.5, "x", False), (inf, "y", False)]))
         flip = (1.0, 0.0, 0.0, -1.0, 0.0, 792.0)
 
         class Positions(OutputDev):

@@ -12,7 +12,9 @@ paths take: scaled and rotated `Tm`, a rotating `cm`, `Tz`/`Tc`/`Tw`/
 inside `q`/`Q`, baselines at y = 0 and -0 (with and without a rotated
 tm), TJ kerns of both signs, empty strings, a string longer than a span
 chunk, more text states than the span device keeps advance tables for,
-glyphs that decode to no char or to two, and a 2-byte Identity-H font.
+glyphs that decode to no char or to two, a 2-byte Identity-H font,
+signed zeros in ctm, tm and the translations, an infinite ctm, and a Td
+after `q Tm .. Q` (a run state that must not be kept).
 Each glyph's (start, end) must cover its decoded char in the text.
 """
 import importlib.util
@@ -121,6 +123,27 @@ CASES = {
     + [op for i in range(80) for op in (("Tw", i * 0.125), ("Td", 0, -9),
                                         ("Tj", "a b c"))]
     + [("Tw", 0), ("Tj", "a b c"), ("ET",)],
+    # Q restores tm and its run state, not tlm: the Td after it
+    # translates the Tm inside q..Q, so the run state must be rebuilt
+    "td_after_q": [("BT",), ("Tf", "F1", 12), ("Td", 72, 700),
+                   ("Tj", "ab"), ("q",), ("Tm", 2, 0, 0, 2, 100, 100),
+                   ("Tj", "cd"), ("Q",), ("Td", 0, -14), ("Tj", "ef"),
+                   ("TJ", ["g", 0, "h"]), ("ET",)],
+    # signed zeros in ctm, rise and tm, translated by zeros
+    "signed_zero_tm": [("cm", 1, 0, -0.0, 1, -0.0, -0.0), ("BT",),
+                       ("Tf", "F1", 12), ("Ts", -0.0),
+                       ("Tm", -0.0, 0, -0.0, 1, -0.0, -0.0), ("Tj", "ab"),
+                       ("Td", -0.0, 0), ("Tj", "cd"),
+                       ("TJ", ["e", -0.0, "f", 0]), ("Td", 0, 0),
+                       ("Tj", "g"), ("Tm", 1, -0.0, -0.0, -1, 0, 700),
+                       ("Tj", "hi"), ("Td", -0.0, -0.0), ("Tj", "j"),
+                       ("ET",)],
+    # ints whose products overflow: an infinite ctm, so a run state of
+    # inf and NaN (0.0 * inf in trm = tsm * tm * ctm is NaN)
+    "infinite_ctm": [("cm", 10 ** 200, 0, 0, 1, 0, 0),
+                     ("cm", 10 ** 200, 0, 0, 1, 0, 0), ("BT",),
+                     ("Tf", "F1", 12), ("Tm", 1, 0, 1, 1, 72, 700),
+                     ("Tj", "ab"), ("Td", 0, -14), ("Tj", "cd"), ("ET",)],
 }
 
 
@@ -169,6 +192,18 @@ def test_text_state_soups_match_reference_chain():
     rng = random.Random(20261018)
     assert [d for d in (G.soup_divergence(rng) for _ in range(150))
             if d] == []
+
+
+def test_translation_soups_match_reference_chain():
+    """Seeded `translation_soup`s: strings under matrices of signed
+    zeros, Td and TJ numbers (zeros among them) and a Td after
+    `q Tm .. Q`.  A translation keeps the run state only when it keeps
+    tm's linear part bit for bit and tlm's is tm's; an interpreter that
+    keeps it across every translation diverges on most of them."""
+    import random
+    rng = random.Random(20261021)
+    assert [d for d in (G.soup_divergence(rng, G.translation_soup)
+                        for _ in range(200)) if d] == []
 
 
 # -- text runs -------------------------------------------------------------

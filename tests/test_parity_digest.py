@@ -5,6 +5,8 @@ import importlib.util
 import pathlib
 import re
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # The digest of every pdfgen.PDF_GENERATORS fixture.  It pins the text
@@ -22,11 +24,27 @@ def _tool():
     return mod
 
 
+# The digests of the benchmark's workloads (perfbench/gen.py rows, seed
+# 1): 2,000 crawl_mix rows and the large_pdfs documents (~9 s together).
+WORKLOAD_DIGESTS = {
+    "crawl_mix": ("fefccd24246fd936720ca2b9097934d8"
+                  "21163031b1bbf2bfa767b6ce572e2f98"),
+    "large_pdfs": ("d229e86420807479cf0f618b30347671"
+                   "6583bda24e1b301c51826c314c9f171f"),
+}
+
+
 def test_fixtures_digest(capsys):
     assert _tool().main(["--fixtures"]) == 0
     out = capsys.readouterr().out.strip()
     assert re.fullmatch(r"[0-9a-f]{64}", out), out
     assert out == FIXTURES_DIGEST
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_workload_digest(workload, capsys):
+    assert _tool().main(["--workload", workload, "--seed", "1"]) == 0
+    assert capsys.readouterr().out.strip() == WORKLOAD_DIGESTS[workload]
 
 
 def test_digest_sees_a_moved_span():

@@ -17,13 +17,16 @@ does.  `page_pdf(content)` is one page whose fonts the chain knows:
         else 0 (advances overflow to +-inf)
 
 `soup(rng)` draws a seeded content stream of BT/ET blocks with
-Tj/TJ/Tc/Tw/Tz/Ts/Tm/Td/Tf/cm/q/Q over those fonts, and
+Tj/TJ/Tc/Tw/Tz/Ts/Tm/Td/Tf/cm/q/Q over those fonts (among the numbers:
+signed zeros, zero translations, matrices of signed zeros, and now and
+then ints whose products overflow to +-inf or reals past float32's
+range, which raise OverflowError in the lexer and here alike), and
 `soup_divergence(rng)` compares the span columns the engine resolves
 (`devices.place_text`) with the chain, the text each glyph's span
 covers with its decoded char, and the text `place_text` joins with
 `PlainTextOutput`'s (`extract_text_from_mem`).  tests/
 test_glyph_geometry.py and tools/fuzz_sweep.py use this module; from the
-command line it sweeps N soups:
+command line it sweeps N soups, one in four a `translation_soup`:
 
     python tools/glyph_reference.py [n=2000] [seed=1]
 
@@ -52,7 +55,8 @@ IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def _f32(v):
-    """A content-stream number as the lexer reads it."""
+    """A content-stream number as the lexer reads it (a real past
+    float32's range raises OverflowError, as `objects.f32` does)."""
     if isinstance(v, float):
         return struct.unpack("<f", struct.pack("<f", v))[0]
     return float(v)
@@ -73,7 +77,10 @@ def _translation(tx, ty):
 
 
 def _num(v):
-    return repr(v) if isinstance(v, float) else str(v)
+    """A number as content-stream syntax (no exponent)."""
+    if isinstance(v, float):
+        return f"{v:.1f}" if abs(v) >= 1e16 else repr(v)
+    return str(v)
 
 
 def _string(s):
@@ -263,6 +270,10 @@ def glyph_chars(pdf: bytes):
 
 _NUMS = (0, 1, -1, 2, 12, 0.5, -0.0, 0.0, 3.25, -2.5, 100, 0.001, 1e-5,
          250.75, -1000.5)
+# ints whose products overflow to +-inf (non-finite ctm, run states and
+# advances), and reals past float32's range (the lexer raises on them)
+_HUGE = (10 ** 200, -10 ** 200, 1e39, -1e39)
+_ZEROS = (0, 0.0, -0.0)
 # shown codes per font (F4 raises on a code without a width)
 _CODES = {"F1": b" !AaBbz~.,'-", "F3": b"xyzAB ab", "F4": b"abcd",
           "F5": b"abcz "}
@@ -270,9 +281,17 @@ _CID_CODES = (0x0041, 0x0042, 0x0043, 0x0020, 0x00FF, 0x2603, 0x0000)
 
 
 def _number(rng):
-    if rng.random() < 0.5:
+    k = rng.random()
+    if k < 0.003:
+        return rng.choice(_HUGE)
+    if k < 0.5:
         return rng.choice(_NUMS)
     return round(rng.uniform(-60, 60), rng.randint(0, 4))
+
+
+def _translation_number(rng):
+    """A Td operand or TJ number: a signed zero one time in four."""
+    return rng.choice(_ZEROS) if rng.random() < 0.25 else _number(rng)
 
 
 def _shown(rng, font):
@@ -287,6 +306,13 @@ def _shown(rng, font):
 
 def _matrix(rng):
     kind = rng.random()
+    if kind < 0.1:
+        # signed zeros, where a translation may change the bits of the
+        # linear part (1.0 * -0.0 + 0.0 * t2 is 0.0 unless t2 < 0), and
+        # now and then a huge entry
+        return tuple(rng.choice(_ZEROS) if rng.random() < 0.6
+                     else rng.choice(_HUGE) if rng.random() < 0.05
+                     else rng.choice((1, -1, 0.5, 2)) for _ in range(6))
     if kind < 0.3:
         a, d = _number(rng), _number(rng)
         return (a, 0, 0, d, _number(rng), _number(rng))
@@ -317,7 +343,7 @@ def soup(rng):
                 ops.append(("Tj", _shown(rng, font)))
             elif k < 0.45:
                 ops.append(("TJ", [_shown(rng, font) if rng.random() < 0.6
-                                   else _number(rng)
+                                   else _translation_number(rng)
                                    for _ in range(rng.randint(0, 6))]))
             elif k < 0.5:
                 ops.append(("Tc", _number(rng)))
@@ -330,7 +356,8 @@ def soup(rng):
             elif k < 0.72:
                 ops.append(("Tm", *_matrix(rng)))
             elif k < 0.78:
-                ops.append(("Td", _number(rng), _number(rng)))
+                ops.append(("Td", _translation_number(rng),
+                            _translation_number(rng)))
             elif k < 0.84:
                 font = rng.choice(("F1", "F2", "F3", "F4", "F5"))
                 ops.append(("Tf", font, rng.choice((12, 1, 9.5, -7))))
@@ -346,14 +373,55 @@ def soup(rng):
     return ops
 
 
-def soup_divergence(rng):
+def translation_soup(rng):
+    """A seeded list of ops that translates tm where a translation may
+    change its linear part or where tlm is not tm: strings under Tm and
+    cm matrices of signed zeros (now and then with a huge entry), Td and
+    TJ numbers (zeros among them), and `q Tm .. Q` between a string and
+    a Td (Q restores tm, not tlm)."""
+    font = rng.choice(("F1", "F2", "F3", "F4", "F5"))
+    ops = [("BT",), ("Tf", font, rng.choice((12, 9.5, -7)))]
+    for _block in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            ops.append(("cm", *_matrix(rng)))
+        if rng.random() < 0.2:
+            ops.append(("Ts", rng.choice(_ZEROS + (2, -1.5))))
+        ops += [("Tm", *_matrix(rng)), ("Tj", _shown(rng, font))]
+        if rng.random() < 0.6:
+            ops += [("q",), ("Tm", *_matrix(rng))]
+            if rng.random() < 0.5:
+                ops.append(("Tj", _shown(rng, font)))
+            ops.append(("Q",))
+        for _op in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                ops.append(("Td", _translation_number(rng),
+                            _translation_number(rng)))
+            else:
+                ops.append(("TJ", [_shown(rng, font),
+                                   _translation_number(rng),
+                                   _shown(rng, font)]))
+            ops.append(("Tj", _shown(rng, font)))
+    return ops + [("ET",)]
+
+
+def soup_divergence(rng, make=soup):
     """None, or what differs between the engine's span columns and the
-    reference chain on one soup, or between its placed text and
-    `PlainTextOutput`'s."""
-    ops = soup(rng)
-    want = reference_spans(ops)
+    reference chain on one soup (`make(rng)`), or between its placed
+    text and `PlainTextOutput`'s."""
+    ops = make(rng)
+    try:
+        want = reference_spans(ops)
+    except OverflowError:  # a real past float32's range
+        want = None
     pdf = page_pdf(serialize(ops))
-    got, covered, text = engine_spans(pdf)
+    try:
+        got, covered, text = engine_spans(pdf)
+    except OverflowError as e:
+        if want is None:
+            return None
+        return f"engine raised {e!r}, the chain did not, in {ops!r}"
+    if want is None:
+        return f"the chain overflows float32, the engine did not, in {ops!r}"
     # repr: -0.0 and 0.0 differ, NaN equals NaN
     if repr(got) != repr(want):
         for i, (a, b) in enumerate(zip(got, want)):
@@ -374,8 +442,10 @@ def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     rng = random.Random(int(sys.argv[2]) if len(sys.argv) > 2 else 1)
     t0, bad = time.time(), 0
-    for _ in range(n):
-        diff = soup_divergence(rng)
+    for i in range(n):
+        # one soup in four a translation soup
+        diff = soup_divergence(rng, translation_soup if i % 4 == 3
+                               else soup)
         if diff:
             bad += 1
             print(diff[:2000])

@@ -16,12 +16,13 @@ reference runs any operation; there only the exceptions are compared
 (a caller drops the device of a stream that raises).
 
 The streams are `glyph_reference` soups (every text-state and show
-operator) with seeded mutations: the hot operators with wrong operand
-counts and types, comments and NULs between operands, property lists
-before `BDC`, inline images, numbers the operation matches leave to the
-token path, and windows (`content._WINDOW`) of 1 byte to 4 KB so that
-tokens and operations straddle window ends.  tests/test_content_scanner.py
-and tools/fuzz_sweep.py use it; from the command line:
+operator; one in four a `translation_soup`) with seeded mutations: the
+hot operators with wrong operand counts and types, comments and NULs
+between operands, property lists before `BDC`, inline images, numbers
+the operation matches leave to the token path, and windows
+(`content._WINDOW`) of 1 byte to 4 KB so that tokens and operations
+straddle window ends.  tests/test_content_scanner.py and
+tools/fuzz_sweep.py use it; from the command line:
 
     python tools/interp_diff.py [n=20000] [seed=1]
 
@@ -82,10 +83,10 @@ class Recorder(OutputDev):
 
     def output_run(self, run):
         end = fold_run(run)
-        self.calls.append(("run", run.text, repr((
-            run.tfs, run.t4, run.t5, run.w_last, run.ctm, run.r4, run.r5,
-            run.n, run.codes, run.linear, run.font_size, run.spacing,
-            run.char_lens, end))))
+        (text, state, t4, t5, w_last, n, codes, _advances, char_lens,
+         _glyphs) = run
+        self.calls.append(("run", text, repr((
+            state, t4, t5, w_last, n, codes, char_lens, end))))
         return end[2:] if self.fold else None
 
     def end_line(self):
@@ -157,7 +158,9 @@ def interpreter_divergence(buf: bytes):
 
 def soup_stream(rng: random.Random) -> bytes:
     """A mutated text-state soup (the module docstring)."""
-    buf = glyph_reference.serialize(glyph_reference.soup(rng))
+    make = (glyph_reference.translation_soup if rng.random() < 0.25
+            else glyph_reference.soup)
+    buf = glyph_reference.serialize(make(rng))
     if rng.random() < 0.2:
         buf = b"\n".join([buf] * rng.randint(2, 40))
     return mutate(rng, buf, INSERTS) if rng.random() < 0.9 else buf
